@@ -189,45 +189,40 @@ void AnalysisWorkspace::build() {
     }
   }
 
-  packed_scratch_.o.resize(max_pool);
-  packed_scratch_.e.resize(max_pool);
-  packed_scratch_.j.resize(max_pool);
-  packed_scratch_.w.resize(max_pool);
-  packed_scratch_.r.resize(max_pool);
-  packed_scratch_.d.resize(max_pool);
-  packed_scratch_.prio.resize(max_pool);
-  packed_scratch_.mask.resize(max_pool);
-  packed_scratch_.vis.resize(max_pool);
-  packed_scratch_.cand_j.resize(max_pool);
-  packed_scratch_.cand_phase.resize(max_pool);
-  packed_scratch_.cand_period.resize(max_pool);
-  packed_scratch_.cand_span.resize(max_pool);
-  packed_scratch_.cand_cost.resize(max_pool);
-  // SIMD lanes: the largest candidate list rounded up to a full padding
-  // block (padding lanes contribute 0 by construction).
+  kernel_scratch_.o.resize(max_pool);
+  kernel_scratch_.e.resize(max_pool);
+  kernel_scratch_.j.resize(max_pool);
+  kernel_scratch_.w.resize(max_pool);
+  kernel_scratch_.r.resize(max_pool);
+  kernel_scratch_.d.resize(max_pool);
+  kernel_scratch_.prio.resize(max_pool);
+  kernel_scratch_.mask.resize(max_pool);
+  kernel_scratch_.vis.resize(max_pool);
+  // Lanes: the largest candidate list rounded up to a full padding block
+  // (padding lanes contribute 0 by construction).
   const std::size_t lanes =
-      (max_pool + PackedScratch::kLaneWidth) & ~(PackedScratch::kLaneWidth - 1);
-  packed_scratch_.lane_a.resize(lanes);
-  packed_scratch_.lane_cost.resize(lanes);
-  packed_scratch_.lane_mul.resize(lanes);
-  packed_scratch_.lane_sh.resize(lanes);
+      (max_pool + KernelScratch::kLaneWidth) & ~(KernelScratch::kLaneWidth - 1);
+  kernel_scratch_.lane_a.resize(lanes);
+  kernel_scratch_.lane_cost.resize(lanes);
+  kernel_scratch_.lane_mul.resize(lanes);
+  kernel_scratch_.lane_sh.resize(lanes);
   prio_changed_scratch_.resize(app.num_processes());
 
   // Magic-division tables: every divisor the recurrences use is a pool
   // member's period, known here.  A period outside the encodable range
   // (< 2 or > 2^62, never seen from the generator but representable in
-  // the model) downgrades AnalysisKernel::Simd to the packed-scalar
-  // kernel for this workspace — correctness never depends on the tables.
-  simd_supported_ = true;
+  // the model) makes a Fast request run on the Reference kernel for this
+  // workspace — correctness never depends on the tables.
+  periods_encodable_ = true;
   for (const ProcPool& pool : proc_pools_) {
     for (const Time t : pool.period) {
-      if (!util::MagicDiv::supports(t)) simd_supported_ = false;
+      if (!util::MagicDiv::supports(t)) periods_encodable_ = false;
     }
   }
   for (const Time t : can_pool_.period) {
-    if (!util::MagicDiv::supports(t)) simd_supported_ = false;
+    if (!util::MagicDiv::supports(t)) periods_encodable_ = false;
   }
-  if (simd_supported_) {
+  if (periods_encodable_) {
     for (ProcPool& pool : proc_pools_) {
       const std::size_t n = pool.period.size();
       pool.mg_mul.resize(n);

@@ -159,8 +159,8 @@ public:
 
   // --- structure-of-arrays recurrence pools ---------------------------
   /// Interference-pair classification, decided from statics alone (graph
-  /// membership, reachability, periods, sender): the packed kernels
-  /// branch on one byte instead of re-deriving the pruning predicates.
+  /// membership, reachability, periods, sender): the Fast kernel
+  /// branches on one byte instead of re-deriving the pruning predicates.
   /// Window still needs the per-pass state check; Always/Pruned are final.
   enum PairClass : std::uint8_t { kPairWindow = 0, kPairAlways = 1, kPairPruned = 2 };
 
@@ -174,7 +174,7 @@ public:
     /// pair[i*n + j]: class of pool member j interfering with member i.
     std::vector<std::uint8_t> pair;
     /// Magic-division constants of `period` (see util/magic_div.hpp);
-    /// populated only when simd_supported().
+    /// populated only when every period is encodable (see active_kernel).
     std::vector<std::uint64_t> mg_mul;
     std::vector<std::uint32_t> mg_shift;
   };
@@ -203,11 +203,11 @@ public:
   }
   [[nodiscard]] const CanPool& can_pool() const noexcept { return can_pool_; }
 
-  /// Reusable gather buffers for the packed kernels (sized to the largest
-  /// pool at build time; every array is 64-byte aligned and padded to a
-  /// kLaneWidth multiple so the SIMD inner loops run without a scalar
-  /// tail — see DESIGN.md §2 "Analysis kernels").
-  struct PackedScratch {
+  /// Reusable gather buffers for the Fast kernel (sized to the largest
+  /// pool at build time; every array is 64-byte aligned and the lane
+  /// arrays are padded to a kLaneWidth multiple so the inner loops run
+  /// without a scalar tail — see DESIGN.md §2 "Analysis kernels").
+  struct KernelScratch {
     /// Lanes per padding block.  Covers AVX-512 (8 x u64 per vector) and
     /// divides evenly into narrower widths; padding lanes are written as
     /// {a=0, cost=0, mul=0, shift=0} so they contribute exactly 0 to the
@@ -221,14 +221,7 @@ public:
     /// intra-run fixed-point skip (inputs changed this pass, or outputs
     /// changed during the previous pass).
     util::AlignedVec<std::uint8_t> vis;
-    /// Per-member compacted interference candidates.  The pruning
-    /// predicates and each candidate's phase/span never read the member's
-    /// iterated w (its own window anchors are hoisted), so the kernels
-    /// resolve them ONCE per member and the w-recurrence reduces to a
-    /// tight ceiling-sum over these parallel arrays.
-    util::AlignedVec<util::Time> cand_j, cand_phase, cand_period, cand_span,
-        cand_cost;
-    /// SIMD lane arrays of the vectorized ceiling-sum: per candidate the
+    /// Lane arrays of the ceiling-sum: per surviving candidate the
     /// w-independent addend a = J_i + J_j - phase_j, the preemption cost,
     /// and the magic-division constants of its period.  All lane math is
     /// uint64 (two's-complement wraparound, no signed-overflow UB).
@@ -238,9 +231,7 @@ public:
     /// memory-stability test asserts this stops growing after warmup.
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (o.capacity() + e.capacity() + j.capacity() + w.capacity() +
-              r.capacity() + d.capacity() + cand_j.capacity() +
-              cand_phase.capacity() + cand_period.capacity() +
-              cand_span.capacity() + cand_cost.capacity()) *
+              r.capacity() + d.capacity()) *
                  sizeof(util::Time) +
              (lane_a.capacity() + lane_cost.capacity() + lane_mul.capacity() +
               lane_sh.capacity()) *
@@ -249,9 +240,9 @@ public:
              vis.capacity();
     }
   };
-  [[nodiscard]] PackedScratch& packed_scratch() noexcept { return packed_scratch_; }
+  [[nodiscard]] KernelScratch& kernel_scratch() noexcept { return kernel_scratch_; }
 
-  // --- intra-run fixed-point skip bookkeeping (SIMD pass-2 kernel) ------
+  // --- intra-run fixed-point skip bookkeeping (Fast pass-2 kernel) ------
   // Per-process values {o,e,j,r} as last seen by pass 2 within the current
   // analysis run, plus a flags byte (bit0 = outputs changed during the
   // previous pass, bit1 = outputs changed during the current pass).  A
@@ -259,7 +250,7 @@ public:
   // since the previous pass is already at its fixed point: recomputing
   // would evaluate the ceiling-sum once, observe next <= w, and keep w —
   // so the kernel skips the gather entirely.  Valid per pool only after
-  // the SIMD kernel has run a full bookkeeping pass in this analysis run.
+  // the Fast kernel has run a full bookkeeping pass in this analysis run.
   [[nodiscard]] std::vector<util::Time>& intra_o() noexcept { return intra_o_; }
   [[nodiscard]] std::vector<util::Time>& intra_e() noexcept { return intra_e_; }
   [[nodiscard]] std::vector<util::Time>& intra_j() noexcept { return intra_j_; }
@@ -334,11 +325,10 @@ public:
     std::fill(p1_active_.begin(), p1_active_.end(), std::uint8_t{1});
   }
 
-  /// Cached priority-compacted candidate lists, reused across evaluations
-  /// (tentpole 2).  The static candidate relation of a pool member
-  /// depends only on the pool's priority vector (pair classes are baked
-  /// at build time), so the lists stay valid until a priority inside the
-  /// pool changes — and then only the members whose relative order
+  /// Cached priority-compacted candidate lists, reused across evaluations.
+  /// The static candidate relation of a pool member depends only on the
+  /// pool's priority vector (pair classes are baked at build time), so
+  /// the lists stay valid until a priority inside the pool changes — and then only the members whose relative order
   /// against a changed member flipped need rebuilding.  `prio` is the
   /// fingerprint the kernels revalidate against on entry.
   struct CandidateCache {
@@ -374,24 +364,20 @@ public:
 
   /// Scratch + candidate-cache heap footprint (memory-stability tests).
   [[nodiscard]] std::size_t scratch_footprint_bytes() const noexcept {
-    std::size_t total = packed_scratch_.footprint_bytes();
+    std::size_t total = kernel_scratch_.footprint_bytes();
     for (const CandidateCache& c : proc_cand_cache_) total += c.footprint_bytes();
     return total + can_cand_cache_.footprint_bytes();
   }
 
-  /// True when every pool period (and the divergence cap) fits the
-  /// branch-free magic-division encoding; decided once at build time.
-  /// False downgrades AnalysisKernel::Simd to the packed-scalar kernel.
-  [[nodiscard]] bool simd_supported() const noexcept { return simd_supported_; }
-
-  /// Name of the kernel that actually runs when `requested` is asked for
-  /// ("simd" only under an MCS_SIMD build with simd_supported()).
+  /// The kernel that actually runs when `requested` is asked for.  The
+  /// Fast kernel needs every pool period in the magic-division range
+  /// [2, 2^62] (decided once at build time); otherwise a Fast request
+  /// runs on Reference.
+  [[nodiscard]] AnalysisKernel active_kernel(AnalysisKernel requested) const noexcept {
+    return periods_encodable_ ? requested : AnalysisKernel::Reference;
+  }
   [[nodiscard]] const char* active_kernel_name(AnalysisKernel requested) const noexcept {
-    if (requested == AnalysisKernel::Simd &&
-        !(simd_compiled() && simd_supported_)) {
-      return kernel_name(AnalysisKernel::Packed);
-    }
-    return kernel_name(requested);
+    return kernel_name(active_kernel(requested));
   }
 
   // --- reusable fixed-point state -------------------------------------
@@ -423,9 +409,9 @@ public:
     std::vector<std::int32_t> p2_div; ///< per-process pass-2 increments
     std::int32_t can_div = 0;         ///< pass-3 increment
     std::int32_t ttp_div = 0;         ///< pass-4 increment
-    /// Copy-on-dirty capture (tentpole 3): set when this pass replayed
-    /// bit-equal to the same pass of the base trajectory, so `end` and
-    /// the mid vectors were NOT copied.  commit_mcs_capture() materializes
+    /// Copy-on-dirty capture: set when this pass replayed bit-equal to
+    /// the same pass of the base trajectory, so `end` and the mid vectors
+    /// were NOT copied.  commit_mcs_capture() materializes
     /// such passes by swapping the base's buffers in; the flag never
     /// survives a commit.
     bool from_base = false;
@@ -561,10 +547,10 @@ private:
 
   std::vector<ProcPool> proc_pools_;
   CanPool can_pool_;
-  PackedScratch packed_scratch_;
+  KernelScratch kernel_scratch_;
   std::vector<CandidateCache> proc_cand_cache_;
   CandidateCache can_cand_cache_;
-  bool simd_supported_ = false;
+  bool periods_encodable_ = false;
 
   std::vector<util::Time> intra_o_, intra_e_, intra_j_, intra_r_;
   std::vector<std::uint8_t> intra_flags_;

@@ -73,7 +73,7 @@ struct Ctx {
   const sched::TtcSchedule& ttc;
   const AnalysisOptions& opt;
   const model::ReachabilityIndex& reach;
-  AnalysisWorkspace& ws;  ///< pools, packed scratch, delta stats
+  AnalysisWorkspace& ws;  ///< pools, kernel scratch, delta stats
 
   const std::vector<MessageRoute>& route;
   const std::vector<Time>& can_tx;       ///< C_m on the CAN bus (0 if not CAN-borne)
@@ -90,10 +90,9 @@ struct Ctx {
   int diverged = 0;
   bool changed = false;  ///< any state value grew in the current pass
 
-  /// Kernel that actually runs: AnalysisKernel::Simd downgrades to Packed
-  /// when the vectorized kernels are not compiled in or the workspace's
-  /// periods are not magic-encodable.  Resolved once per call.
-  AnalysisKernel eff_kernel = AnalysisKernel::Packed;
+  /// Kernel that actually runs (AnalysisWorkspace::active_kernel: Fast
+  /// needs magic-encodable periods).  Resolved once per call.
+  AnalysisKernel eff_kernel = AnalysisKernel::Reference;
 
   /// Copy-on-dirty equality induction (DESIGN.md §2): entering_equal
   /// asserts the full state at the TOP of the current iteration bit-equals
@@ -195,7 +194,7 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 /// fixedness) pre-resolved to a pair-class byte from the workspace's CAN
 /// interfere matrix; only the window comparison reads state.  `latest_m`
 /// must be the caller-hoisted o+j+w+tx of m.  Bit-identical to the scalar
-/// predicate above — used by the packed paths of passes that scan message
+/// predicate above — used by the Fast paths of passes that scan message
 /// (sub)pools quadratically.
 [[nodiscard]] bool message_can_interfere_cls(const Ctx& ctx, const State& s,
                                              std::uint8_t cls, MessageId j,
@@ -263,11 +262,11 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 /// members in between — those paths re-arm the graph's activity byte.
 void propagate(Ctx& ctx, State& s) {
   const Application& app = ctx.app;
-  // Only the SIMD kernels maintain the re-arm bookkeeping (change flags
-  // at writeback, compare-and-mark replays); the packed/reference paths
-  // write state without tracking, so they always sweep fully — which
-  // also keeps the differential oracle's reference side trivially exact.
-  const bool allow_skip = ctx.eff_kernel == AnalysisKernel::Simd;
+  // Only the Fast kernel maintains the re-arm bookkeeping (change flags
+  // at writeback, compare-and-mark replays); the reference path writes
+  // state without tracking, so it always sweeps fully — which also keeps
+  // the differential oracle's reference side trivially exact.
+  const bool allow_skip = ctx.eff_kernel == AnalysisKernel::Fast;
   std::uint8_t* active = ctx.ws.p1_active().data();
   for (std::size_t gi = 0; gi < ctx.topo.size(); ++gi) {
     if (allow_skip && active[gi] == 0) {
@@ -479,96 +478,7 @@ void pass2_pool_reference(Ctx& ctx, State& s,
   }
 }
 
-/// Packed kernel: pool state gathered into contiguous scratch arrays, the
-/// pruning predicates' static parts resolved to one pair-class byte, and
-/// the window anchors of the CURRENT member hoisted out of the recurrence
-/// (its own o/e/j/w/r only change after its recurrence finishes, so they
-/// are loop-invariant).  Bit-identical to the reference kernel.
-void pass2_pool_packed(Ctx& ctx, State& s,
-                       const AnalysisWorkspace::ProcPool& pool,
-                       const std::uint8_t* mask, const PassSnapshot* snap,
-                       PassSnapshot* cap) {
-  const std::size_t n = pool.pids.size();
-  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    ps.o[x] = s.o_p[pi];
-    ps.e[x] = s.e_p[pi];
-    ps.j[x] = s.j_p[pi];
-    ps.w[x] = s.w_p[pi];
-    ps.r[x] = s.r_p[pi];
-    ps.prio[x] = ctx.cfg.process_priority(pool.pids[x]);
-  }
-  const bool prune = ctx.opt.offset_pruning;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    if (mask != nullptr && mask[x] == 0) {
-      // Replay through the scratch slot so later recomputing members read
-      // the replayed values, exactly as they would read raised state.
-      raise(ctx, ps.w[x], snap->end.w_p[pi]);
-      raise(ctx, ps.r[x], snap->end.r_p[pi]);
-      ctx.diverged += snap->p2_div[pi];
-      if (cap != nullptr) cap->p2_div[pi] = snap->p2_div[pi];
-      continue;
-    }
-    const int div_before = ctx.diverged;
-    const Time c_i = pool.wcet[x];
-    const std::uint8_t* pair = pool.pair.data() + x * n;
-    const Time latest_x = ps.o[x] + ps.j[x] + std::max(ps.w[x], c_i);
-    // The pruning predicates and each survivor's phase/span never read the
-    // iterated w, so the candidate set is resolved once and the recurrence
-    // below is a straight ceiling-sum over the compact arrays.
-    std::size_t m = 0;
-    for (std::size_t jj = 0; jj < n; ++jj) {
-      if (jj == x) continue;
-      if (!(ps.prio[jj] < ps.prio[x])) continue;
-      if (prune) {
-        const std::uint8_t cls = pair[jj];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.o[jj] + ps.r[jj] <= ps.e[x]) continue;
-          if (ps.e[jj] >= latest_x) continue;
-        }
-      }
-      ps.cand_j[m] = ps.j[jj];
-      ps.cand_phase[m] = relative_phase(ps.o[jj], ps.o[x], pool.period[jj]);
-      ps.cand_period[m] = pool.period[jj];
-      ps.cand_span[m] = ps.j[jj] + std::max(ps.w[jj], pool.wcet[jj]);
-      ps.cand_cost[m] = pool.wcet[jj];
-      ++m;
-    }
-    Time w = std::max(ps.w[x], c_i);
-    for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
-      Time next = c_i;
-      for (std::size_t i = 0; i < m; ++i) {
-        next += interfering_activations(w, ps.j[x], ps.cand_j[i],
-                                        ps.cand_phase[i], ps.cand_period[i],
-                                        ps.cand_span[i]) *
-                ps.cand_cost[i];
-      }
-      if (next > ctx.cap) {
-        next = ctx.cap;
-        ++ctx.diverged;
-      }
-      if (next <= w) break;
-      w = next;
-    }
-    raise(ctx, ps.w[x], w);
-    raise(ctx, ps.r[x], ps.j[x] + ps.w[x]);
-    if (cap != nullptr) {
-      cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
-    }
-  }
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    s.w_p[pi] = ps.w[x];
-    s.r_p[pi] = ps.r[x];
-  }
-}
-
-#if defined(MCS_SIMD_ENABLED)
-
-/// Refreshes one pool's cached candidate lists (tentpole 2).  The static
+/// Refreshes one pool's cached candidate lists.  The static
 /// candidate relation of member x — "jj != x and prio(jj) < prio(x)",
 /// annotated with the baked pair class — depends only on the priority
 /// vector, so the lists survive every evaluation that leaves this pool's
@@ -578,7 +488,7 @@ void pass2_pool_packed(Ctx& ctx, State& s,
 /// offset_pruning=false path must still see them); window-class entries
 /// keep their per-pass state checks in the kernel.  `rebuild` emits
 /// member x's list in ascending index order — the exact scan order of the
-/// scalar kernels, so candidate order (and thus every sum) is identical.
+/// reference kernel, so candidate order (and thus every sum) is identical.
 template <typename Rebuild>
 void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
                         const Priority* prio, std::size_t n,
@@ -629,11 +539,15 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
   cc.valid = true;
 }
 
-/// Vectorized pass-2 kernel (tentpole 1).  Same structure as the packed
-/// kernel, with three changes: the candidate scan starts from the cached
-/// priority-compacted list, the per-candidate ceiling division uses the
-/// precomputed magic constants, and the recurrence body is a branch-free
-/// ceiling-sum over aligned, padded uint64 lanes:
+/// Fast pass-2 kernel.  Pool state is gathered into contiguous scratch
+/// arrays, the pruning predicates' static parts come from the pair-class
+/// bytes of the cached priority-compacted candidate list, and the window
+/// anchors of the CURRENT member are hoisted out of the recurrence (its
+/// own o/e/j/w/r only change after its recurrence finishes).  The
+/// survivors' phase/span never read the iterated w, so each member's
+/// candidates are resolved once, the per-candidate ceiling division uses
+/// the precomputed magic constants, and the recurrence body is a
+/// branch-free ceiling-sum over aligned, padded uint64 lanes:
 ///
 ///   lane_a[i]    = J_x + J_j - phase_j   (the w-independent addend)
 ///   lane_cost[i] = C_j
@@ -647,8 +561,8 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
 /// lanes are {a=0, cost=0, mul=0, sh=0} and contribute exactly 0.  All
 /// lane arithmetic is unsigned (no signed-overflow UB) and associative
 /// mod 2^64, so lane order cannot change the sum: bit-identical to the
-/// scalar kernels by construction, enforced by soa_layout_test.
-void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
+/// reference kernel by construction, enforced by soa_layout_test.
+void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
                      std::size_t pool_index, const std::uint8_t* mask,
                      const PassSnapshot* snap, PassSnapshot* cap) {
   const std::size_t n = pool.pids.size();
@@ -680,7 +594,7 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
       return;
     }
   }
-  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
+  AnalysisWorkspace::KernelScratch& ps = ctx.ws.kernel_scratch();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
     ps.o[x] = s.o_p[pi];
@@ -801,7 +715,7 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
       ps.lane_sh[m] = pool.mg_shift[jj];
       ++m;
     }
-    constexpr std::size_t kW = AnalysisWorkspace::PackedScratch::kLaneWidth;
+    constexpr std::size_t kW = AnalysisWorkspace::KernelScratch::kLaneWidth;
     const std::size_t mp = (m + kW - 1) & ~(kW - 1);
     for (std::size_t i = m; i < mp; ++i) {
       ps.lane_a[i] = 0;
@@ -866,8 +780,6 @@ void pass2_pool_simd(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
   pool_valid = 1;
 }
 
-#endif  // MCS_SIMD_ENABLED
-
 /// Pass-2 driver: per pool, computes the recompute mask from the base
 /// snapshot (nullptr snap = cold: recompute everything) and dispatches to
 /// the selected kernel.
@@ -891,9 +803,9 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     bool any_dirty = true;
     bool settled = prev != nullptr;
     if (snap != nullptr) {
-      util::AlignedVec<std::uint8_t>& buf = ctx.ws.packed_scratch().mask;
+      util::AlignedVec<std::uint8_t>& buf = ctx.ws.kernel_scratch().mask;
       any_dirty = false;
-      // Refined mask (SIMD kernel only): the cached per-member lists ARE
+      // Refined mask (Fast kernel only): the cached per-member lists ARE
       // the exact read set of pass 2 — the kernel reads {o,e,j,w,r} of
       // precisely the listed members (pruned and window entries included,
       // since their dynamic predicates read o/r/e, all covered by the
@@ -913,7 +825,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       // readers consult it.  More than 16 priority changes (or a cold
       // cache) falls back to the coarser priority-band rule below.
       bool refine = false;
-#if defined(MCS_SIMD_ENABLED)
       const AnalysisWorkspace::CandidateCache& cc =
           ctx.ws.proc_cand_cache(pool_index);
       // Members whose priority differs from the cache fingerprint / from
@@ -923,7 +834,7 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       std::size_t base_changed[16];
       std::size_t n_cache_changed = 0;
       std::size_t n_base_changed = 0;
-      if (ctx.eff_kernel == AnalysisKernel::Simd && cc.valid) {
+      if (ctx.eff_kernel == AnalysisKernel::Fast && cc.valid) {
         refine = true;
         const bool have_base = delta != nullptr &&
                                delta->proc_prio_changed != nullptr &&
@@ -947,7 +858,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
           }
         }
       }
-#endif
       Priority p_star = 0;
       for (std::size_t x = 0; x < n; ++x) {
         const std::size_t pi = pool.pids[x].index();
@@ -966,7 +876,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
             (*delta->proc_prio_changed)[pi] != 0) {
           dirty = true;
         }
-#if defined(MCS_SIMD_ENABLED)
         if (refine && !dirty && (n_cache_changed + n_base_changed) != 0) {
           const Priority cur = ctx.cfg.process_priority(pool.pids[x]);
           // Stale cached row (the closure may not consult it).
@@ -992,7 +901,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
             }
           }
         }
-#endif
         buf[x] = dirty ? 1 : 0;
         if (dirty) {
           if (!refine) {
@@ -1010,7 +918,6 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
         }
       }
       if (any_dirty) {
-#if defined(MCS_SIMD_ENABLED)
         if (refine) {
           ++ctx.ws.delta_stats().mask_refinements;
           for (std::size_t t = 0; t < n; ++t) {
@@ -1025,9 +932,7 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
               }
             }
           }
-        } else
-#endif
-        {
+        } else {
           for (std::size_t x = 0; x < n; ++x) {
             if (buf[x] == 0 &&
                 ctx.cfg.process_priority(pool.pids[x]) > p_star) {
@@ -1063,14 +968,8 @@ void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
       }
       continue;
     }
-#if defined(MCS_SIMD_ENABLED)
-    if (ctx.eff_kernel == AnalysisKernel::Simd) {
-      pass2_pool_simd(ctx, s, pool, pool_index, mask, snap, cap);
-    } else
-#endif
-    if (ctx.eff_kernel != AnalysisKernel::Reference) {
-      ctx.ws.intra_pool_valid(pool_index) = 0;
-      pass2_pool_packed(ctx, s, pool, mask, snap, cap);
+    if (ctx.eff_kernel == AnalysisKernel::Fast) {
+      pass2_pool_fast(ctx, s, pool, pool_index, mask, snap, cap);
     } else {
       ctx.ws.intra_pool_valid(pool_index) = 0;
       pass2_pool_reference(ctx, s, pool, mask, snap, cap);
@@ -1131,107 +1030,18 @@ void can_message_recurrences(Ctx& ctx, State& s) {
   }
 }
 
-/// Packed CAN kernel: same gather/hoist treatment as pass 2, with both
-/// the hp-interference and lp-blocking predicates resolved through the
-/// precomputed pair-class matrices.  Bit-identical to the reference.
-void can_recurrences_packed(Ctx& ctx, State& s) {
-  const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
-  const std::size_t n = cp.mids.size();
-  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t mi = cp.mids[x].index();
-    ps.o[x] = s.o_m[mi];
-    ps.e[x] = s.e_m[mi];
-    ps.j[x] = s.j_m[mi];
-    ps.w[x] = s.w_m[mi];
-    ps.d[x] = s.d_m[mi];
-    ps.prio[x] = ctx.cfg.message_priority(cp.mids[x]);
-  }
-  const bool prune = ctx.opt.offset_pruning;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::uint8_t* interfere = cp.interfere.data() + x * n;
-    const std::uint8_t* block_cls = cp.block.data() + x * n;
-    // m's own o/e/j/w only change after its recurrence: hoist the window
-    // anchors.
-    const Time latest_x = ps.o[x] + ps.j[x] + ps.w[x] + cp.tx[x];
-    const Time arrival_x = ps.o[x] + ps.j[x];
-    // Neither the blocking term nor the interference candidate set reads
-    // the iterated w (every predicate input is fixed during this member's
-    // recurrence), so both are resolved once up front: blocking to a
-    // scalar, the hp survivors to compact arrays.
-    Time blocking = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k == x) continue;
-      if (ps.prio[k] < ps.prio[x]) continue;  // k is hp
-      if (prune) {
-        const std::uint8_t cls = block_cls[k];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.e[k] >= arrival_x) continue;
-          if (ps.d[k] <= ps.e[x]) continue;
-        }
-      }
-      blocking = std::max(blocking, cp.tx[k]);
-    }
-    std::size_t m = 0;
-    for (std::size_t jj = 0; jj < n; ++jj) {
-      if (jj == x) continue;
-      if (!(ps.prio[jj] < ps.prio[x])) continue;
-      if (prune) {
-        const std::uint8_t cls = interfere[jj];
-        if (cls == AnalysisWorkspace::kPairPruned) continue;
-        if (cls == AnalysisWorkspace::kPairWindow) {
-          if (ps.d[jj] <= ps.e[x]) continue;
-          if (ps.e[jj] >= latest_x) continue;
-        }
-      }
-      ps.cand_j[m] = ps.j[jj];
-      ps.cand_phase[m] = relative_phase(ps.o[jj], ps.o[x], cp.period[jj]);
-      ps.cand_period[m] = cp.period[jj];
-      ps.cand_span[m] = ps.j[jj] + ps.w[jj] + cp.tx[jj];
-      ps.cand_cost[m] = cp.tx[jj];
-      ++m;
-    }
-    Time w = ps.w[x];
-    for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
-      Time next = blocking;
-      for (std::size_t i = 0; i < m; ++i) {
-        next += interfering_activations(w, ps.j[x], ps.cand_j[i],
-                                        ps.cand_phase[i], ps.cand_period[i],
-                                        ps.cand_span[i]) *
-                ps.cand_cost[i];
-      }
-      if (next > ctx.cap) {
-        next = ctx.cap;
-        ++ctx.diverged;
-      }
-      if (next <= w) break;
-      w = next;
-    }
-    raise(ctx, ps.w[x], w);
-    const std::size_t mi = cp.mids[x].index();
-    raise(ctx, s.r_m[mi], ps.j[x] + ps.w[x] + cp.tx[x]);
-    if (cp.is_et_to_tt[x] == 0) {
-      raise(ctx, ps.d[x], ps.o[x] + s.r_m[mi]);
-    }
-  }
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t mi = cp.mids[x].index();
-    s.w_m[mi] = ps.w[x];
-    s.d_m[mi] = ps.d[x];
-  }
-}
-
-#if defined(MCS_SIMD_ENABLED)
-
-/// Vectorized CAN kernel: the packed kernel with cached candidate AND
-/// blocking lists (both keyed on the message priority vector) and the
-/// same branch-free magic-division ceiling-sum as pass2_pool_simd.
-void can_recurrences_simd(Ctx& ctx, State& s) {
+/// Fast CAN kernel: the gather/hoist treatment of pass2_pool_fast with
+/// cached candidate AND blocking lists (both keyed on the message priority
+/// vector; the pair-class matrices resolve the hp-interference and
+/// lp-blocking predicates' static parts) and the same branch-free
+/// magic-division ceiling-sum.  Neither the blocking term nor the
+/// interference candidate set reads the iterated w, so both are resolved
+/// once per member: blocking to a scalar, the hp survivors to lanes.
+void can_recurrences_fast(Ctx& ctx, State& s) {
   const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
   const std::size_t n = cp.mids.size();
   constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
-  // Whole-bus fast path, mirroring pass2_pool_simd: all read sets (hp
+  // Whole-bus fast path, mirroring pass2_pool_fast: all read sets (hp
   // interference + lp blocking lists) live inside the bus pool, so a
   // fully quiet pool skips every member and the body can be elided.
   if (ctx.ws.intra_can_valid() != 0) {
@@ -1255,7 +1065,7 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
       return;
     }
   }
-  AnalysisWorkspace::PackedScratch& ps = ctx.ws.packed_scratch();
+  AnalysisWorkspace::KernelScratch& ps = ctx.ws.kernel_scratch();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
     ps.o[x] = s.o_m[mi];
@@ -1384,7 +1194,7 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
       ps.lane_sh[m] = cp.mg_shift[jj];
       ++m;
     }
-    constexpr std::size_t kW = AnalysisWorkspace::PackedScratch::kLaneWidth;
+    constexpr std::size_t kW = AnalysisWorkspace::KernelScratch::kLaneWidth;
     const std::size_t mp = (m + kW - 1) & ~(kW - 1);
     for (std::size_t i = m; i < mp; ++i) {
       ps.lane_a[i] = 0;
@@ -1451,11 +1261,9 @@ void can_recurrences_simd(Ctx& ctx, State& s) {
   can_valid = 1;
 }
 
-#endif  // MCS_SIMD_ENABLED
-
 /// Pass-3 driver: the CAN bus is one component — the lp blocking term
 /// couples every message to every other regardless of priority order, so
-/// there is no per-member or per-band refinement here.  (The SIMD kernel
+/// there is no per-member or per-band refinement here.  (The Fast kernel
 /// still applies the intra-run fixed-point skip per member, using the
 /// cached interference + blocking lists as the exact read set.)
 /// Dirtiness inputs:
@@ -1529,16 +1337,10 @@ void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
     return;
   }
   const int div_before = ctx.diverged;
-#if defined(MCS_SIMD_ENABLED)
-  if (ctx.eff_kernel == AnalysisKernel::Simd) {
-    can_recurrences_simd(ctx, s);
-  } else
-#endif
-  if (ctx.eff_kernel != AnalysisKernel::Reference) {
-    // These kernels do not maintain the intra-run skip bookkeeping.
-    ctx.ws.intra_can_valid() = 0;
-    can_recurrences_packed(ctx, s);
+  if (ctx.eff_kernel == AnalysisKernel::Fast) {
+    can_recurrences_fast(ctx, s);
   } else {
+    // The reference kernel does not maintain the intra-run skip bookkeeping.
     ctx.ws.intra_can_valid() = 0;
     can_message_recurrences(ctx, s);
   }
@@ -1591,7 +1393,7 @@ void out_ttp_drain(Ctx& ctx, State& s) {
     // counts while it can remain queued (ttp residency carry-in).
     const Time m_arrival_spread = s.j_m[mi] + s.w_m[mi] + ctx.can_tx[mi];
     // Every ET->TT message rides the CAN bus, so the precomputed interfere
-    // classes apply; the packed kernel uses them, the reference kernel
+    // classes apply; the Fast kernel uses them, the reference kernel
     // keeps the scalar predicate as the independent baseline.
     const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
     const std::uint8_t* cls_row =
@@ -1697,12 +1499,12 @@ void pass4(Ctx& ctx, State& s, const PassSnapshot* snap,
     if (cap != nullptr) cap->ttp_div = snap->ttp_div;
     return;
   }
-  // Intra-run quiescence skip (SIMD kernel only, like the pass-2/3 skips):
+  // Intra-run quiescence skip (Fast kernel only, like the pass-2/3 skips):
   // the drain reads and writes only the ET->TT members' own fields, so if
   // all eight are unchanged since the previous drain of this run and that
   // drain was change- and divergence-free, re-running it is a no-op.
   const int div_before = ctx.diverged;
-  const bool track = ctx.eff_kernel == AnalysisKernel::Simd;
+  const bool track = ctx.eff_kernel == AnalysisKernel::Fast;
   AnalysisWorkspace& ws = ctx.ws;
   if (track && ws.intra_ttp_state() == 3) {
     bool quiet = true;
@@ -1801,7 +1603,7 @@ BufferBounds buffer_bounds(const Ctx& ctx, const State& s) {
     for (const MessageId m : pool) {
       std::int64_t bytes = app.message(m).size_bytes;
       // These queues hold CAN-borne messages only, so the precomputed
-      // interfere classes apply (packed kernel; reference keeps the
+      // interfere classes apply (Fast kernel; reference keeps the
       // scalar predicate).
       const std::uint8_t* cls_row =
           ctx.eff_kernel != AnalysisKernel::Reference
@@ -1903,15 +1705,10 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
     ctx.sg_slot = ctx.cfg.tdma().slot_of(workspace.gateway());
   }
 
-  // Resolve the kernel that actually runs: Simd silently downgrades to
-  // the (always-built, bit-identical) packed-scalar kernel when the
-  // vectorized code is not compiled in or the periods are not
+  // Resolve the kernel that actually runs: a Fast request runs on the
+  // (bit-identical) reference kernel when the periods are not
   // magic-encodable.
-  ctx.eff_kernel = input.options.kernel;
-  if (ctx.eff_kernel == AnalysisKernel::Simd &&
-      !(simd_compiled() && workspace.simd_supported())) {
-    ctx.eff_kernel = AnalysisKernel::Packed;
-  }
+  ctx.eff_kernel = workspace.active_kernel(input.options.kernel);
 
   State& s = workspace.reset_state();
   workspace.reset_intra();

@@ -57,7 +57,7 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
       static_cast<std::int64_t>(workspace.scratch_footprint_bytes()));
 
   // The kernel request resolves per system (a period that is not
-  // magic-encodable downgrades Simd to Packed), so count jobs per
+  // magic-encodable runs a Fast request on Reference), so count jobs per
   // RESOLVED kernel.  Runtime-named registration: one mutex hop per job.
   counter(std::string("kernel.jobs.") + active_kernel_name).add(1);
 }

@@ -1,7 +1,7 @@
-// Over-aligned allocator for the SIMD lane buffers.  PackedScratch keeps
-// its parallel arrays on 64-byte boundaries so a full cache line (one
-// AVX-512 vector, two AVX2 vectors) of lanes loads without a split; the
-// kernels additionally pad the lane count to a vector-width multiple so
+// Over-aligned allocator for the vector lane buffers.  The analysis
+// workspace's KernelScratch keeps its parallel arrays on 64-byte
+// boundaries so a full cache line (one AVX-512 vector, two AVX2 vectors)
+// of lanes loads without a split; the Fast kernel additionally pads the lane count to a vector-width multiple so
 // the inner loop has no scalar tail.
 #pragma once
 

@@ -7,7 +7,7 @@
 // plus two shifts (branch-free, ~4 cycles) instead of a hardware 64-bit
 // division (20-40 cycles, unpipelined).  We use the round-up encoding
 // with one uniform evaluation formula for every supported divisor so the
-// SIMD lanes need no per-lane branches:
+// vector lanes need no per-lane branches:
 //
 //     hi = mulhi_u64(x, mul)
 //     q  = (((x - hi) >> 1) + hi) >> shift      ==  floor(x / d)
@@ -23,8 +23,8 @@
 // d.  Hence the result is exact for ALL x in [0, 2^64).  Powers of two
 // take mul = 0, shift = log2(d) - 1, degenerating the same formula into a
 // plain shift.  d = 1 has NO encoding under this formula (shift would be
-// -1); callers must guard (the analysis workspace downgrades to the
-// scalar kernel when any period falls outside the supported range).
+// -1); callers must guard (the analysis workspace runs the Reference
+// kernel when any period falls outside the supported range).
 // tests/util/magic_div_test.cpp exercises the divisor/dividend edges.
 #pragma once
 
@@ -63,8 +63,8 @@ namespace mcs::util {
 }
 
 /// Precomputed constants for exact floor division by a fixed d in
-/// [2, 2^62].  Trivially copyable; the packed kernels store the (mul,
-/// shift) pairs in parallel arrays and evaluate lanes branch-free.
+/// [2, 2^62].  Trivially copyable; the Fast analysis kernel stores the
+/// (mul, shift) pairs in parallel arrays and evaluates lanes branch-free.
 struct MagicDiv {
   std::uint64_t mul = 0;
   std::uint32_t shift = 0;

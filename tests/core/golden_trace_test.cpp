@@ -109,7 +109,7 @@ void check_against_golden(const std::string& name,
   ASSERT_FALSE(actual.empty());
 
   if (std::getenv("MCS_REGEN_GOLDEN") != nullptr) {
-    // Refuse to bake a Packed/SIMD kernel bug into the fixture: whatever
+    // Refuse to bake a Fast-kernel bug into the fixture: whatever
     // kernel produced `actual`, it must first reproduce the independent
     // Reference trajectory record-for-record.  Only the cross-checked
     // trace is written.

@@ -1,16 +1,17 @@
-// The structure-of-arrays recurrence kernels (AnalysisKernel::Packed) are
-// a pure layout optimization: gathered pool state, precomputed
-// interference-pair classes, in-place Gauss-Seidel on the scratch arrays.
-// They must be bit-identical to the original scalar code — kept as
-// AnalysisKernel::Reference — on every system, fresh or through a reused
-// workspace, and they must not perturb a single optimizer decision: the
-// SF/OS/OR/SA/HOPA trajectories (accept/reject sequences, final genotype)
-// have to match the seed behavior exactly, with the delta machinery on or
-// off.
+// The Fast recurrence kernel (AnalysisKernel::Fast) is a pure layout and
+// arithmetic optimization: gathered pool state, precomputed
+// interference-pair classes, cached candidate lists, magic-division lanes,
+// in-place Gauss-Seidel on the scratch arrays.  It must be bit-identical
+// to the original scalar code — kept as AnalysisKernel::Reference — on
+// every system, fresh or through a reused workspace, and it must not
+// perturb a single optimizer decision: the SF/OS/OR/SA/HOPA trajectories
+// (accept/reject sequences, final genotype) have to match the seed
+// behavior exactly, with the delta machinery on or off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/paper_example.hpp"
 #include "mcs/gen/suites.hpp"
+#include "mcs/gen/textio.hpp"
 
 namespace mcs::core {
 namespace {
@@ -101,10 +103,11 @@ std::vector<Candidate> candidate_family(const MoveContext& ctx) {
   return family;
 }
 
-TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
+TEST(SoaLayout, FastKernelBitIdenticalToReference) {
   struct SystemUnderTest {
     model::Application app;
     arch::Platform platform;
+    const char* active_kernel = "fast";  ///< what a Fast request runs
   };
   std::vector<SystemUnderTest> systems;
   {
@@ -119,44 +122,61 @@ TEST(SoaLayout, PackedKernelBitIdenticalToReference) {
     auto sys = gen::generate(small_system(seed));
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
   }
+  {
+    // The paper example plus an ETC node hosting a period-1 graph: the
+    // smallest valid system with a period outside the magic-division
+    // range [2, 2^62], so a Fast request runs on the Reference kernel.
+    std::istringstream text(R"(ttp 1 0
+can linear 10 0
+gateway_transfer 5 10
+node N1 tt
+node N2 et
+node NG gateway
+node N3 et
+graph G1 240 200
+graph G2 1 1
+process P1 G1 N1 30
+process P2 G1 N2 20
+process P3 G1 N2 20
+process P4 G1 N1 30
+process P5 G2 N3 1
+message m1 P1 P2 8
+message m2 P1 P3 8
+message m3 P2 P4 8
+)");
+    gen::ParsedSystem sys = gen::parse_system(text);
+    systems.push_back({std::move(sys.app), std::move(sys.platform), "reference"});
+  }
 
   for (const SystemUnderTest& sut : systems) {
-    // Full kernel matrix: the vectorized kernel and the packed-scalar
-    // kernel must both reproduce the Reference oracle bit-for-bit, on
-    // every candidate, through reused workspaces.
-    McsOptions simd;
-    simd.analysis.kernel = AnalysisKernel::Simd;
-    McsOptions packed;
-    packed.analysis.kernel = AnalysisKernel::Packed;
+    // Kernel matrix: the Fast kernel must reproduce the Reference oracle
+    // bit-for-bit, on every candidate, through reused workspaces.
+    McsOptions fast;
+    fast.analysis.kernel = AnalysisKernel::Fast;
     McsOptions reference;
     reference.analysis.kernel = AnalysisKernel::Reference;
     const MoveContext ctx(sut.app, sut.platform, McsOptions{});
-    AnalysisWorkspace ws_simd(sut.app, sut.platform);
-    AnalysisWorkspace ws_packed(sut.app, sut.platform);
+    AnalysisWorkspace ws_fast(sut.app, sut.platform);
     AnalysisWorkspace ws_reference(sut.app, sut.platform);
+    EXPECT_STREQ(ws_fast.active_kernel_name(AnalysisKernel::Fast),
+                 sut.active_kernel);
 
     for (const Candidate& cand : candidate_family(ctx)) {
-      SystemConfig cfg_s = cand.to_config(sut.app);
-      const McsResult v = multi_cluster_scheduling(sut.app, sut.platform, cfg_s,
-                                                   cand.pins, simd, ws_simd);
-      SystemConfig cfg_p = cand.to_config(sut.app);
-      const McsResult p = multi_cluster_scheduling(sut.app, sut.platform, cfg_p,
-                                                   cand.pins, packed, ws_packed);
+      SystemConfig cfg_f = cand.to_config(sut.app);
+      const McsResult f = multi_cluster_scheduling(sut.app, sut.platform, cfg_f,
+                                                   cand.pins, fast, ws_fast);
       SystemConfig cfg_r = cand.to_config(sut.app);
       const McsResult r = multi_cluster_scheduling(
           sut.app, sut.platform, cfg_r, cand.pins, reference, ws_reference);
       std::string why;
-      EXPECT_TRUE(bit_identical(v, r, &why)) << "simd vs reference: " << why;
-      EXPECT_TRUE(bit_identical(p, r, &why)) << "packed vs reference: " << why;
-      EXPECT_EQ(cfg_s.process_offsets(), cfg_r.process_offsets());
-      EXPECT_EQ(cfg_s.message_offsets(), cfg_r.message_offsets());
-      EXPECT_EQ(cfg_p.process_offsets(), cfg_r.process_offsets());
-      EXPECT_EQ(cfg_p.message_offsets(), cfg_r.message_offsets());
+      EXPECT_TRUE(bit_identical(f, r, &why)) << "fast vs reference: " << why;
+      EXPECT_EQ(cfg_f.process_offsets(), cfg_r.process_offsets());
+      EXPECT_EQ(cfg_f.message_offsets(), cfg_r.message_offsets());
     }
   }
 }
 
-// PackedScratch + candidate-cache memory behavior: one workspace driven
+// KernelScratch + candidate-cache memory behavior: one workspace driven
 // across a cross-suite walk (paper example, tiny suite, generated small
 // systems; every move kind) must reach its high-water scratch capacity in
 // the first round and never grow again — and the reused scratch must stay
@@ -181,10 +201,10 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
     systems.push_back({std::move(sys.app), std::move(sys.platform)});
   }
 
-  McsOptions simd;
-  simd.analysis.kernel = AnalysisKernel::Simd;
+  McsOptions fast;
+  fast.analysis.kernel = AnalysisKernel::Fast;
   for (const SystemUnderTest& sut : systems) {
-    const MoveContext ctx(sut.app, sut.platform, simd);
+    const MoveContext ctx(sut.app, sut.platform, fast);
     const std::vector<Candidate> family = candidate_family(ctx);
     AnalysisWorkspace reused(sut.app, sut.platform);
     std::size_t high_water = 0;
@@ -192,11 +212,11 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
       for (const Candidate& cand : family) {
         SystemConfig cfg = cand.to_config(sut.app);
         const McsResult warm = multi_cluster_scheduling(
-            sut.app, sut.platform, cfg, cand.pins, simd, reused);
+            sut.app, sut.platform, cfg, cand.pins, fast, reused);
         AnalysisWorkspace fresh_ws(sut.app, sut.platform);
         SystemConfig cfg_f = cand.to_config(sut.app);
         const McsResult fresh = multi_cluster_scheduling(
-            sut.app, sut.platform, cfg_f, cand.pins, simd, fresh_ws);
+            sut.app, sut.platform, cfg_f, cand.pins, fast, fresh_ws);
         std::string why;
         EXPECT_TRUE(bit_identical(warm, fresh, &why))
             << "reused vs fresh scratch: " << why;
@@ -215,7 +235,7 @@ TEST(SoaLayout, ScratchFootprintStabilizesAndReuseStaysExact) {
 TEST(SoaLayout, ReusedScratchMatchesFreshAcrossDeltaModes) {
   for (const std::uint64_t seed : {11u, 33u}) {
     const auto sys = gen::generate(small_system(seed));
-    // One context per mode, each reusing ONE workspace (and its packed
+    // One context per mode, each reusing ONE workspace (and its kernel
     // scratch buffers) across the whole family, twice; the ground truth
     // is a throwaway cold context per candidate.
     const MoveContext ctx_on(sys.app, sys.platform, McsOptions{});

@@ -111,7 +111,7 @@ using namespace mcs;
 
 namespace {
 
-constexpr const char* kVersion = "0.8.0";
+constexpr const char* kVersion = "0.9.0";
 
 /// Graceful-shutdown flag the signal handler raises; the job runtime
 /// polls it and drains (std::atomic<bool> is lock-free on every target we
@@ -203,13 +203,10 @@ int parse_args(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
-      // The default kernel request is Simd; it resolves to the scalar
-      // packed kernel when the library was built with MCS_SIMD=OFF (and,
-      // per system, when a period is not magic-encodable — see --stats).
+      // The default kernel request; per system it runs on Reference when
+      // a period is not magic-encodable (see --stats).
       std::printf("mcs_synth %s (analysis kernel: %s)\n", kVersion,
-                  core::simd_compiled()
-                      ? core::kernel_name(core::AnalysisKernel::Simd)
-                      : core::kernel_name(core::AnalysisKernel::Packed));
+                  core::kernel_name(core::AnalysisOptions{}.kernel));
       std::exit(0);
     } else if (arg == "--campaign") {
       if (++i >= argc) return 2;
@@ -556,8 +553,8 @@ void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
 }
 
 // Evaluation-engine counters for the single-system synthesis run: which
-// kernel actually ran (the Simd request downgrades per system when a
-// period is not magic-encodable), how often the delta machinery replayed
+// kernel actually ran (a Fast request runs on Reference for a system
+// whose periods are not magic-encodable), how often the delta machinery replayed
 // vs fell back, and what the reuse layers (candidate-list cache,
 // evaluation cache, snapshot stealing, intra-run skips) delivered.
 void print_stats(const core::MoveContext& ctx,
