@@ -12,22 +12,25 @@
 //                     AnalysisWorkspace, buffers reset in place;
 //   workspace+cache — MoveContext::evaluate: the memoized hot path.
 //
-// A second pair of sequences measures the CACHE-MISS path the delta
-// analysis (DESIGN.md §2) targets — every visit is one move away from the
-// previous one, so the trajectory replay has a warm base and a small
-// dirty set, and no visit repeats, so the evaluation cache never hits:
+// A second pair of sequences measures the CACHE-MISS path — every visit
+// is one move away from the previous one and no visit repeats, so the
+// evaluation cache never hits:
 //
 //   local walk — single-cluster-local moves only (ETC priority swaps),
-//                the delta fast path: full vs delta (speedup_delta_local);
+//                which keep the delta-mode memo eligible: every list
+//                schedule replays from the previous run
+//                (speedup_delta_local);
 //   mixed walk — every move kind, so TDMA/TTC moves interleave cold
-//                fallbacks with delta runs (speedup_delta_mixed).
+//                fallbacks with memo-eligible runs (speedup_delta_mixed).
 //
 // Each walk runs in three configurations: `seed` (Reference kernel, delta
-// off — the pre-SoA, pre-delta miss path), `full` (Fast kernel, delta off)
-// and `delta` (Fast kernel, delta on — the default).
-// speedup_local_vs_seed / speedup_mixed_vs_seed are the before/after
-// numbers for the miss path as a whole; speedup_delta_* isolate the delta
-// machinery against the Fast kernel's full analysis.
+// off), `full` (Fast kernel, delta off) and `delta` (Fast kernel, delta
+// on — the default; DESIGN.md §2: the schedule memo).  All three elide
+// the repeated last MCS iteration.  speedup_local_vs_seed /
+// speedup_mixed_vs_seed compare the miss path as a whole against the
+// Reference kernel; speedup_delta_* isolate the schedule memo against the
+// Fast kernel's full run.  These are priority-swap microbenchmarks, not
+// end-to-end workloads.
 //
 // Emits BENCH_eval_throughput.json (consumed by CI as a perf artifact) and
 // fails loudly if any two paths disagree on any evaluation, making the
@@ -133,7 +136,7 @@ ModeResult run_workspace(const core::MoveContext& ctx,
 
 /// A walk where every visit is the previous one plus ONE ETC priority
 /// swap between two processes on the same node — the single-cluster-local
-/// neighborhood where the delta analysis replays everything but one pool.
+/// neighborhood, where every run stays eligible for the schedule memo.
 std::vector<core::Candidate> make_local_walk(const core::MoveContext& ctx,
                                              std::size_t num_visits) {
   util::Rng rng(7177);
@@ -159,7 +162,7 @@ std::vector<core::Candidate> make_local_walk(const core::MoveContext& ctx,
 }
 
 /// A walk over every move kind (the SA neighborhood): priority swaps stay
-/// delta-eligible, TDMA resizes/swaps and TTC shifts force cold fallbacks.
+/// memo-eligible, TDMA resizes/swaps and TTC shifts force cold fallbacks.
 std::vector<core::Candidate> make_mixed_walk(const core::MoveContext& ctx,
                                              std::size_t num_visits) {
   util::Rng rng(9311);
@@ -176,9 +179,9 @@ std::vector<core::Candidate> make_mixed_walk(const core::MoveContext& ctx,
 }
 
 /// One miss-path measurement: replays `walk` through evaluate_uncached
-/// (no memoization anywhere) with the workspace's delta machinery set to
-/// `mode`.  A fresh MoveContext per call so no base trajectory leaks
-/// between modes.
+/// (no evaluation cache) with the workspace's delta mode set to `mode`.
+/// A fresh MoveContext per call so no recorded base run leaks between
+/// modes.
 ModeResult run_walk(const Instance& inst,
                     const std::vector<core::Candidate>& walk,
                     core::DeltaMode mode, core::AnalysisKernel kernel) {

@@ -79,8 +79,8 @@ struct AnalysisOptions {
   /// in AnalysisResult::diverged_activities.
 };
 
-/// Field-wise equality; part of the delta-eligibility fingerprint (a
-/// cached trajectory recorded under different options must never be
+/// Field-wise equality; part of the delta-mode memo-eligibility
+/// fingerprint (a base run recorded under different options is never
 /// reused).
 [[nodiscard]] constexpr bool same_options(const AnalysisOptions& a,
                                           const AnalysisOptions& b) noexcept {

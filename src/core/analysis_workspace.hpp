@@ -18,20 +18,20 @@
 //     (WCETs/periods/frame times packed contiguously, plus precomputed
 //     interference-pair classes so the inner loops never chase the
 //     reachability index),
-//   * trajectory storage for the incremental (delta) re-analysis.
+//   * the recorded previous MCS run for the schedule memo (delta mode).
 //
 // The workspace additionally owns the fixed-point State buffers (13
 // vectors over processes/messages) which are RESET, not reallocated, on
 // every analysis call, and scratch vectors for the buffer-bound pass.
 //
-// Delta analysis (DESIGN.md §2): when `delta_mode()` is On, the
-// MultiClusterScheduling overload taking a workspace records the exact
-// per-pass trajectory of each run and, on the next run, recomputes only
-// the components (ETC node pools, the CAN bus, the OutTTP drain) whose
-// pass inputs differ from the recorded base — everything else replays the
-// stored values.  The replay is a faithful memoization, not a warm
-// start, so results are bit-identical to a cold run by construction.
-// Mode Check runs delta AND cold and throws on any difference.
+// Delta mode (DESIGN.md §2): when `delta_mode()` is On, the
+// MultiClusterScheduling overload taking a workspace records each run's
+// per-iteration list-scheduling constraints and TTC schedules and, on the
+// next run with the same TDMA round, pins and options, replays a recorded
+// schedule wherever the release constraints match instead of re-running
+// list scheduling.  list_schedule is a pure function of those inputs, so
+// results are bit-identical to a cold run by construction.  Mode Check
+// runs the memo leg AND a cold leg and throws on any difference.
 //
 // Ownership contract (DESIGN.md §4): a workspace is SINGLE-THREADED by
 // design — one search loop, one workspace, owned by exactly one thread
@@ -59,8 +59,8 @@
 namespace mcs::core {
 
 /// Incremental-evaluation policy of the MultiClusterScheduling overload
-/// that reuses a workspace.  Off = always cold (the seed behavior); On =
-/// trajectory-replay delta with automatic fallback; Check = run delta and
+/// that reuses a workspace.  Off = always cold; On = schedule memo against
+/// the previous run, with automatic fallback; Check = run the memo leg and
 /// cold, compare bitwise, throw std::logic_error on any mismatch.
 enum class DeltaMode { Off, On, Check };
 
@@ -71,20 +71,15 @@ enum class DeltaMode { Off, On, Check };
 /// Counters of the incremental-evaluation machinery (per workspace).
 struct DeltaStats {
   std::uint64_t full_runs = 0;      ///< cold MCS runs (incl. fallbacks)
-  std::uint64_t delta_runs = 0;     ///< trajectory-replay MCS runs
-  std::uint64_t fallbacks = 0;      ///< delta-ineligible (tdma/pins/options moved)
+  std::uint64_t delta_runs = 0;     ///< memo-eligible MCS runs
+  std::uint64_t fallbacks = 0;      ///< memo-ineligible (tdma/pins/options moved)
   std::uint64_t checked = 0;        ///< Check-mode comparisons performed
   std::uint64_t mismatches = 0;     ///< Check-mode divergences detected
   std::uint64_t schedule_memo_hits = 0;   ///< list_schedule calls skipped
   std::uint64_t elided_iterations = 0;    ///< provably-redundant MCS iterations
-  std::uint64_t components_skipped = 0;   ///< pass components replayed from base
-  std::uint64_t components_recomputed = 0;
   std::uint64_t cand_cache_hits = 0;      ///< candidate lists reused as-is
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
-  std::uint64_t snapshots_stolen = 0;     ///< pass snapshots swapped, not copied
-  std::uint64_t mask_refinements = 0;     ///< pass-2 pools masked via read sets
   std::uint64_t intra_skips = 0;          ///< members at a confirmed fixed point
-  std::uint64_t settled_skips = 0;        ///< clean components whose replay was a no-op
   std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
 };
 
@@ -216,7 +211,6 @@ public:
 
     util::AlignedVec<util::Time> o, e, j, w, r, d;
     util::AlignedVec<Priority> prio;
-    util::AlignedVec<std::uint8_t> mask;  ///< pass-2 recompute mask (1 = recompute)
     /// Pool-local "visibly changed since the previous pass" flags of the
     /// intra-run fixed-point skip (inputs changed this pass, or outputs
     /// changed during the previous pass).
@@ -236,8 +230,7 @@ public:
              (lane_a.capacity() + lane_cost.capacity() + lane_mul.capacity() +
               lane_sh.capacity()) *
                  sizeof(std::uint64_t) +
-             prio.capacity() * sizeof(Priority) + mask.capacity() +
-             vis.capacity();
+             prio.capacity() * sizeof(Priority) + vis.capacity();
     }
   };
   [[nodiscard]] KernelScratch& kernel_scratch() noexcept { return kernel_scratch_; }
@@ -337,11 +330,6 @@ public:
     std::vector<std::uint32_t> list;  ///< stride-n: hp candidates of member x
     std::vector<std::uint8_t> cls;    ///< pair class of each stored candidate
     std::vector<std::uint32_t> len;   ///< candidate count per member
-    /// Member indices in ascending priority-value order (ties by index):
-    /// every candidate of a member precedes it, so a single sweep computes
-    /// the transitive closure of "reads a dirty member" (pass-2 refined
-    /// recompute mask).
-    std::vector<std::uint32_t> order;
     /// CAN pool only: the non-higher-priority blocking candidates.
     std::vector<std::uint32_t> blk_list;
     std::vector<std::uint8_t> blk_cls;
@@ -349,7 +337,7 @@ public:
 
     [[nodiscard]] std::size_t footprint_bytes() const noexcept {
       return (list.capacity() + blk_list.capacity() + len.capacity() +
-              blk_len.capacity() + order.capacity()) *
+              blk_len.capacity()) *
                  sizeof(std::uint32_t) +
              cls.capacity() + blk_cls.capacity() +
              prio.capacity() * sizeof(Priority);
@@ -395,60 +383,17 @@ public:
   /// after the first call) and returns it.
   [[nodiscard]] State& reset_state();
 
-  // --- delta-analysis trajectory storage ------------------------------
-  /// Snapshot of one outer fixed-point pass: the state at the pass
-  /// boundary plus the mid-pass values the dirtiness checks need (r_p and
-  /// d_m after propagation, r_m after CAN arbitration) and the
-  /// divergence-counter increments each component contributed, so a
-  /// replayed component reproduces the diverged accounting exactly.
-  struct PassSnapshot {
-    State end;                        ///< state after pass 4
-    std::vector<util::Time> r_p_mid;  ///< r_p after pass 1
-    std::vector<util::Time> d_m_mid;  ///< d_m after pass 1
-    std::vector<util::Time> r_m_mid;  ///< r_m after pass 3
-    std::vector<std::int32_t> p2_div; ///< per-process pass-2 increments
-    std::int32_t can_div = 0;         ///< pass-3 increment
-    std::int32_t ttp_div = 0;         ///< pass-4 increment
-    /// Copy-on-dirty capture: set when this pass replayed bit-equal to
-    /// the same pass of the base trajectory, so `end` and the mid vectors
-    /// were NOT copied.  commit_mcs_capture() materializes
-    /// such passes by swapping the base's buffers in; the flag never
-    /// survives a commit.
-    bool from_base = false;
-  };
-
-  /// Recorded trajectory of one response-time-analysis run.  `used`
-  /// passes are valid (buffers beyond it are retained capacity);
-  /// `complete` means every executed pass was captured, so the last
-  /// snapshot IS the final state (required for the buffer-bound replay).
-  struct RtaTrajectory {
-    std::vector<PassSnapshot> passes;
-    std::size_t used = 0;
-    bool complete = false;
-    BufferBounds bounds;
-    bool bounds_valid = false;
-    /// Index of the base-run record this capture diffed against (npos
-    /// when captured cold).  Resolves `from_base` passes at commit time.
-    static constexpr std::size_t kNoBaseRecord = static_cast<std::size_t>(-1);
-    std::size_t base_record = kNoBaseRecord;
-  };
-
-  /// Trajectories longer than this are captured up to the cap; delta runs
-  /// recompute the uncovered tail (still exact, just not incremental).
-  /// Bounds memory on pathological non-converging systems.
-  static constexpr std::size_t kMaxStoredPasses = 24;
-
+  // --- delta-mode schedule memo ---------------------------------------
   /// One MultiClusterScheduling iteration of the recorded base run.
   struct McsIterRecord {
     std::vector<util::Time> constraints_release;  ///< as fed to list_schedule
     sched::TtcSchedule schedule;
-    RtaTrajectory traj;
   };
 
-  /// The recorded base MCS run plus its delta-eligibility fingerprint.
-  /// Priorities are NOT part of the fingerprint — they are what the
-  /// per-component dirtiness propagates; everything else mismatching
-  /// forces the cold fallback (which re-captures a fresh base).
+  /// The recorded base MCS run plus its memo-eligibility fingerprint.
+  /// Priorities are NOT part of the fingerprint: list scheduling never
+  /// reads them.  Anything else mismatching forces the cold fallback
+  /// (which records a fresh base).
   struct McsBase {
     bool valid = false;
     // Fingerprint.
@@ -456,11 +401,8 @@ public:
     std::vector<util::Time> pins_release, pins_tx;
     AnalysisOptions analysis_options;
     int max_iterations = 0;
-    // The diffed genotype part.
-    std::vector<Priority> process_priorities;
-    std::vector<Priority> message_priorities;
     // Iteration records; iter_record maps loop index -> record index so
-    // elided iterations alias the record they replay.
+    // elided iterations alias the record they repeat.
     std::vector<McsIterRecord> records;
     std::size_t records_used = 0;
     std::vector<std::size_t> iter_record;
@@ -475,21 +417,8 @@ public:
   [[nodiscard]] McsBase& mcs_base() noexcept { return mcs_base_; }
   /// The in-progress capture (internal to multi_cluster_scheduling).
   [[nodiscard]] McsBase& mcs_capture() noexcept { return mcs_capture_; }
-  /// Publishes the capture as the new base.  Pass snapshots flagged
-  /// `from_base` first steal (swap) their buffers from the outgoing base
-  /// trajectory they replayed, then the whole capture swaps in — no
-  /// full-state copies on the equal path.
-  void commit_mcs_capture();
-  /// Drops the recorded base (the next delta-mode run falls back to cold).
-  void invalidate_mcs_base() noexcept {
-    mcs_base_.valid = false;
-    mcs_capture_.valid = false;
-  }
-
-  /// Pass-2 dirtiness scratch (per ProcessId; internal to the analysis).
-  [[nodiscard]] std::vector<std::uint8_t>& prio_changed_scratch() noexcept {
-    return prio_changed_scratch_;
-  }
+  /// Publishes the capture as the new base (a swap: both keep capacity).
+  void commit_mcs_capture() noexcept { std::swap(mcs_base_, mcs_capture_); }
 
   // --- convergence trace sink -----------------------------------------
   /// One fixed-point trace record: the FNV-1a hash of the complete State
@@ -571,9 +500,6 @@ private:
   DeltaStats delta_stats_;
   McsBase mcs_base_;
   McsBase mcs_capture_;
-  std::vector<std::uint8_t> prio_changed_scratch_;
-  /// Commit-time collision map: first stealer of each base (record, pass).
-  std::vector<PassSnapshot*> steal_scratch_;
 
   std::vector<TraceRecord>* trace_sink_ = nullptr;
   int trace_iteration_ = -1;

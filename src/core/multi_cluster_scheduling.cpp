@@ -57,26 +57,17 @@ using McsIterRecord = AnalysisWorkspace::McsIterRecord;
   return true;
 }
 
-/// Priority differences between the current configuration and the
-/// recorded base run — the only genotype dimensions the trajectory replay
-/// propagates (anything else fails the eligibility fingerprint).
-struct DeltaDirt {
-  const std::vector<std::uint8_t>* proc = nullptr;  ///< per ProcessId
-  const std::vector<Priority>* base_proc_prio = nullptr;  ///< base run's pi
-  bool msg = false;  ///< any CAN-borne message priority differs
-};
-
 /// One MultiClusterScheduling fixed-point run (Figure 5).  `base` enables
-/// the incremental machinery against a recorded previous run (nullptr =
-/// cold); `capture` records this run as the next base (nullptr = don't).
-/// With both null this is exactly the plain algorithm.
+/// the schedule memo against a recorded previous run (nullptr = cold);
+/// `capture` records this run as the next base (nullptr = don't).  With
+/// both null this is exactly the plain algorithm.
 ///
 /// `constraints` is taken by value: the loop mutates its process_release
 /// entries as worst-case ETC->TTC deliveries feed back.
 McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
                   SystemConfig& config, sched::ScheduleConstraints constraints,
                   const McsOptions& options, AnalysisWorkspace& workspace,
-                  const McsBase* base, McsBase* capture, const DeltaDirt& dirt) {
+                  const McsBase* base, McsBase* capture) {
   McsResult result;
   DeltaStats& stats = workspace.delta_stats();
   std::vector<AnalysisWorkspace::TraceRecord>* sink = workspace.trace_sink();
@@ -96,6 +87,7 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     result.iterations = iter + 1;
     std::optional<obs::Span> iter_span;
     if (sampled) iter_span.emplace("mcs.iteration", static_cast<std::uint64_t>(iter));
+    const std::size_t trace_begin = sink != nullptr ? sink->size() : 0;
 
     const McsIterRecord* rec = nullptr;
     if (base != nullptr &&
@@ -108,10 +100,8 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     // a pure function of (app, platform, tdma, constraints) and the TDMA
     // round is fingerprint-identical to the base, so equal constraints
     // replay the recorded schedule verbatim.
-    bool schedule_memoized = false;
     if (rec != nullptr && constraints.process_release == rec->constraints_release) {
       result.schedule = rec->schedule;
-      schedule_memoized = true;
       ++stats.schedule_memo_hits;
     } else {
       result.schedule =
@@ -127,16 +117,15 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
       sink->push_back({iter, -1, schedule_hash(result.schedule)});
     }
 
-    McsIterRecord* cap_rec = nullptr;
     if (capture != nullptr) {
       if (capture->records.size() <= capture->records_used) {
         capture->records.emplace_back();
       }
-      cap_rec = &capture->records[capture->records_used];
+      McsIterRecord& cap_rec = capture->records[capture->records_used];
       capture->iter_record.push_back(capture->records_used);
       ++capture->records_used;
-      cap_rec->constraints_release = constraints.process_release;
-      cap_rec->schedule = result.schedule;
+      cap_rec.constraints_release = constraints.process_release;
+      cap_rec.schedule = result.schedule;
     }
 
     // rho = ResponseTimeAnalysis(Gamma, phi, pi).
@@ -146,26 +135,8 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
     input.config = &config;
     input.ttc_schedule = &result.schedule;
     input.options = options.analysis;
-    RtaDelta rta_delta;
-    const RtaDelta* delta = nullptr;
-    if (rec != nullptr) {
-      rta_delta.base = &rec->traj;
-      rta_delta.proc_prio_changed = dirt.proc;
-      rta_delta.base_process_priorities = dirt.base_proc_prio;
-      rta_delta.msg_prio_dirty = dirt.msg;
-      rta_delta.schedule_memoized = schedule_memoized;
-      delta = &rta_delta;
-    }
     workspace.set_trace_iteration(iter);
-    result.analysis = response_time_analysis(
-        input, workspace, delta, cap_rec != nullptr ? &cap_rec->traj : nullptr);
-    // Remember which base record this iteration replayed against so that
-    // commit_mcs_capture can resolve any from_base pass snapshots the run
-    // recorded (copy-on-dirty capture, DESIGN.md §2).
-    if (cap_rec != nullptr && rec != nullptr) {
-      cap_rec->traj.base_record =
-          base->iter_record[static_cast<std::size_t>(iter)];
-    }
+    result.analysis = response_time_analysis(input, workspace);
 
     // Feed worst-case ETC->TTC deliveries back as TT release constraints.
     // Only gateway-bound (ET->TT) messages can generate constraints; the
@@ -189,14 +160,23 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
 
     // With unchanged constraints the next iteration re-runs list_schedule
     // on identical inputs and the analysis on an identical configuration:
-    // a deterministic replay of this iteration that is guaranteed to hit
-    // the fixed-point exit.  Elide it (recording-enabled modes only, so
-    // DeltaMode::Off preserves the historical iteration count exactly).
-    if (capture != nullptr && !constraints_changed &&
-        iter + 1 < options.max_iterations) {
+    // a deterministic repeat of this iteration that is guaranteed to hit
+    // the fixed-point exit.  Elide it, reporting the iteration count, the
+    // recorded base and the trace exactly as the repeat would have.
+    if (!constraints_changed && iter + 1 < options.max_iterations) {
       result.iterations = iter + 2;
       result.converged = result.analysis.converged;
-      capture->iter_record.push_back(capture->iter_record.back());
+      if (capture != nullptr) {
+        capture->iter_record.push_back(capture->iter_record.back());
+      }
+      if (sink != nullptr) {
+        const std::size_t trace_end = sink->size();
+        for (std::size_t i = trace_begin; i < trace_end; ++i) {
+          AnalysisWorkspace::TraceRecord repeat = (*sink)[i];
+          repeat.mcs_iteration = iter + 1;
+          sink->push_back(repeat);
+        }
+      }
       ++stats.elided_iterations;
       break;
     }
@@ -247,16 +227,16 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   const DeltaMode mode = workspace.delta_mode();
   if (mode == DeltaMode::Off) {
     return mcs_run(app, platform, config, std::move(constraints), options,
-                   workspace, nullptr, nullptr, DeltaDirt{});
+                   workspace, nullptr, nullptr);
   }
 
   DeltaStats& stats = workspace.delta_stats();
   McsBase& base = workspace.mcs_base();
 
-  // Delta eligibility: everything except the priorities must match the
-  // recorded base run (the trajectory replay propagates priority changes;
-  // anything else — TDMA round, pins, analysis options — falls back to a
-  // cold run, which re-captures a fresh base).
+  // Memo eligibility: the TDMA round, the pins, the analysis options and
+  // the iteration cap must match the recorded base run (priorities may
+  // differ: list scheduling never reads them).  Any mismatch falls back to
+  // a cold run, which records a fresh base.
   const bool eligible =
       base.valid && same_tdma(config.tdma(), base.tdma_slots) &&
       constraints.process_release == base.pins_release &&
@@ -264,23 +244,6 @@ McsResult multi_cluster_scheduling(const model::Application& app,
       same_options(options.analysis, base.analysis_options) &&
       options.max_iterations == base.max_iterations;
 
-  DeltaDirt dirt;
-  if (eligible) {
-    std::vector<std::uint8_t>& flags = workspace.prio_changed_scratch();
-    for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-      const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
-      flags[pi] =
-          config.process_priority(p) != base.process_priorities[pi] ? 1 : 0;
-    }
-    dirt.proc = &flags;
-    dirt.base_proc_prio = &base.process_priorities;
-    for (const util::MessageId m : workspace.can_messages()) {
-      if (config.message_priority(m) != base.message_priorities[m.index()]) {
-        dirt.msg = true;
-        break;
-      }
-    }
-  }
   if (eligible) {
     ++stats.delta_runs;
   } else {
@@ -288,7 +251,7 @@ McsResult multi_cluster_scheduling(const model::Application& app,
     if (base.valid) ++stats.fallbacks;
   }
 
-  // Prepare the capture buffer: current fingerprint + genotype, no records.
+  // Prepare the capture buffer: current fingerprint, no records.
   McsBase& capture = workspace.mcs_capture();
   capture.valid = false;
   const std::span<const arch::Slot> slots = config.tdma().slots();
@@ -297,44 +260,34 @@ McsResult multi_cluster_scheduling(const model::Application& app,
   capture.pins_tx = constraints.message_tx;
   capture.analysis_options = options.analysis;
   capture.max_iterations = options.max_iterations;
-  capture.process_priorities.resize(app.num_processes());
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
-    capture.process_priorities[pi] = config.process_priority(p);
-  }
-  capture.message_priorities.resize(app.num_messages());
-  for (std::size_t mi = 0; mi < app.num_messages(); ++mi) {
-    const util::MessageId m(static_cast<util::MessageId::underlying_type>(mi));
-    capture.message_priorities[mi] = config.message_priority(m);
-  }
   capture.records_used = 0;
   capture.iter_record.clear();
 
   if (mode == DeltaMode::On) {
     McsResult result =
         mcs_run(app, platform, config, std::move(constraints), options,
-                workspace, eligible ? &base : nullptr, &capture, dirt);
+                workspace, eligible ? &base : nullptr, &capture);
     capture.valid = true;
     workspace.commit_mcs_capture();
     return result;
   }
 
-  // DeltaMode::Check: run the incremental path against a scratch copy of
-  // the configuration, then the plain algorithm against the real one, and
+  // DeltaMode::Check: run the memo leg against a scratch copy of the
+  // configuration, then the plain algorithm against the real one, and
   // require field-by-field identity.  The capture/commit happens on the
-  // incremental leg so the check exercises exactly the machinery that
+  // memo leg so the check exercises exactly the machinery that
   // DeltaMode::On would use, base records included.
   SystemConfig scratch_config = config;
   McsResult delta_result =
       mcs_run(app, platform, scratch_config, constraints, options, workspace,
-              eligible ? &base : nullptr, &capture, dirt);
+              eligible ? &base : nullptr, &capture);
   capture.valid = true;
   workspace.commit_mcs_capture();
 
   std::vector<AnalysisWorkspace::TraceRecord>* sink = workspace.trace_sink();
   workspace.set_trace_sink(nullptr);
   McsResult cold = mcs_run(app, platform, config, std::move(constraints),
-                           options, workspace, nullptr, nullptr, DeltaDirt{});
+                           options, workspace, nullptr, nullptr);
   workspace.set_trace_sink(sink);
 
   ++stats.checked;

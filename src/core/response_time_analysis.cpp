@@ -1,7 +1,6 @@
 #include "mcs/core/response_time_analysis.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -61,9 +60,6 @@ using util::Time;
 /// the divergence cap) guarantees termination.
 using State = AnalysisWorkspace::State;
 
-using PassSnapshot = AnalysisWorkspace::PassSnapshot;
-using RtaTrajectory = AnalysisWorkspace::RtaTrajectory;
-
 /// Per-call view: configuration-dependent quantities plus const references
 /// into the workspace's hoisted invariant structure.
 struct Ctx {
@@ -94,49 +90,12 @@ struct Ctx {
   /// needs magic-encodable periods).  Resolved once per call.
   AnalysisKernel eff_kernel = AnalysisKernel::Reference;
 
-  /// Copy-on-dirty equality induction (DESIGN.md §2): entering_equal
-  /// asserts the full state at the TOP of the current iteration bit-equals
-  /// the base run's (anchored on the zeroed initial state + a memoized
-  /// schedule; carried forward only by passes proven output-equal).
-  /// pass_equal accumulates the current pass's claim.
-  bool entering_equal = false;
-  bool pass_equal = false;
-
   [[nodiscard]] Time period_of(MessageId m) const { return app.period_of(m); }
   [[nodiscard]] Time period_of(ProcessId p) const { return app.period_of(p); }
 };
 
 /// Monotone update helper: raises `slot` to `value` (clamped at the cap),
 /// recording changes and divergence.
-/// Snapshot-capture copy: per-vector compare-then-copy.  Late passes of a
-/// run change only a handful of slots, so most vectors bit-match the
-/// destination's previous contents (the same snapshot slot, refreshed
-/// every run over the same topology) — eliding those stores roughly
-/// halves the capture's memory traffic.  Sizes always match after the
-/// first run; the plain copy covers the cold path.
-void capture_state(State& dst, const State& src) {
-  const auto cp = [](auto& d, const auto& s) {
-    if (d.size() == s.size() &&
-        std::memcmp(d.data(), s.data(), s.size() * sizeof(s[0])) == 0) {
-      return;
-    }
-    d = s;
-  };
-  cp(dst.o_p, src.o_p);
-  cp(dst.e_p, src.e_p);
-  cp(dst.j_p, src.j_p);
-  cp(dst.w_p, src.w_p);
-  cp(dst.r_p, src.r_p);
-  cp(dst.o_m, src.o_m);
-  cp(dst.e_m, src.e_m);
-  cp(dst.j_m, src.j_m);
-  cp(dst.w_m, src.w_m);
-  cp(dst.r_m, src.r_m);
-  cp(dst.d_m, src.d_m);
-  cp(dst.ttp_wait, src.ttp_wait);
-  cp(dst.i_m, src.i_m);
-}
-
 void raise(Ctx& ctx, Time& slot, Time value) {
   if (value > ctx.cap) {
     value = ctx.cap;
@@ -263,9 +222,9 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 void propagate(Ctx& ctx, State& s) {
   const Application& app = ctx.app;
   // Only the Fast kernel maintains the re-arm bookkeeping (change flags
-  // at writeback, compare-and-mark replays); the reference path writes
-  // state without tracking, so it always sweeps fully — which also keeps
-  // the differential oracle's reference side trivially exact.
+  // at writeback); the reference path writes state without tracking, so
+  // it always sweeps fully — which also keeps the differential oracle's
+  // reference side trivially exact.
   const bool allow_skip = ctx.eff_kernel == AnalysisKernel::Fast;
   std::uint8_t* active = ctx.ws.p1_active().data();
   for (std::size_t gi = 0; gi < ctx.topo.size(); ++gi) {
@@ -408,45 +367,11 @@ void propagate(Ctx& ctx, State& s) {
 /// s.w_p holds the FULL level-i busy window including the process's own
 /// WCET (preemptions landing while the process executes delay it too);
 /// the paper's "interference" I_i = w - C_i is recovered at export time.
-///
-/// Both kernels take an optional recompute `mask` over the pool (nullptr
-/// = recompute all).  Masked-off members replay the base snapshot's
-/// post-pass values instead of iterating their recurrence; replays stay
-/// interleaved in pool order so a recomputing member reads exactly the
-/// mix of updated/not-yet-updated neighbor values a cold run would see
-/// (Gauss-Seidel order is part of the fixed point's identity).
-
-/// Replays one clean pool member from the base snapshot: raising to the
-/// stored values reproduces `changed` exactly (the stored value IS what
-/// the cold pass would compute), and the stored per-process divergence
-/// increment reproduces the diverged accounting.
-void replay_pass2_member(Ctx& ctx, State& s, std::size_t pi,
-                         const PassSnapshot& snap, PassSnapshot* cap) {
-  const Time w0 = s.w_p[pi];
-  const Time r0 = s.r_p[pi];
-  raise(ctx, s.w_p[pi], snap.end.w_p[pi]);
-  raise(ctx, s.r_p[pi], snap.end.r_p[pi]);
-  if (s.w_p[pi] != w0 || s.r_p[pi] != r0) {
-    ctx.ws.p1_active()[ctx.ws.proc_graph()[pi]] = 1;
-  }
-  ctx.diverged += snap.p2_div[pi];
-  if (cap != nullptr) cap->p2_div[pi] = snap.p2_div[pi];
-}
-
 void pass2_pool_reference(Ctx& ctx, State& s,
-                          const AnalysisWorkspace::ProcPool& pool,
-                          const std::uint8_t* mask, const PassSnapshot* snap,
-                          PassSnapshot* cap) {
+                          const AnalysisWorkspace::ProcPool& pool) {
   const Application& app = ctx.app;
-  const std::size_t n = pool.pids.size();
-  for (std::size_t x = 0; x < n; ++x) {
-    const ProcessId pid = pool.pids[x];
+  for (const ProcessId pid : pool.pids) {
     const std::size_t pi = pid.index();
-    if (mask != nullptr && mask[x] == 0) {
-      replay_pass2_member(ctx, s, pi, *snap, cap);
-      continue;
-    }
-    const int div_before = ctx.diverged;
     const Time c_i = app.process(pid).wcet;
     Time w = std::max(s.w_p[pi], c_i);
     for (int iter = 0; iter < ctx.opt.max_recurrence_iterations; ++iter) {
@@ -472,9 +397,6 @@ void pass2_pool_reference(Ctx& ctx, State& s,
     }
     raise(ctx, s.w_p[pi], w);
     raise(ctx, s.r_p[pi], s.j_p[pi] + s.w_p[pi]);
-    if (cap != nullptr) {
-      cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
-    }
   }
 }
 
@@ -523,19 +445,6 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
     if (stale) rebuild(x);
   }
   std::copy(prio, prio + n, cc.prio.begin());
-  // Priority-sorted sweep order for the refined pass-2 mask: candidates
-  // are strictly higher priority than their reader, so iterating members
-  // in ascending priority-value order visits every candidate before any
-  // member that reads it.  Ties carry no edge (neither member is a
-  // candidate of the other), so index order between equals is arbitrary;
-  // we fix it for determinism.
-  for (std::size_t x = 0; x < n; ++x) {
-    cc.order[x] = static_cast<std::uint32_t>(x);
-  }
-  std::sort(cc.order.begin(), cc.order.begin() + static_cast<std::ptrdiff_t>(n),
-            [prio](std::uint32_t a, std::uint32_t b) {
-              return prio[a] != prio[b] ? prio[a] < prio[b] : a < b;
-            });
   cc.valid = true;
 }
 
@@ -563,8 +472,7 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
 /// mod 2^64, so lane order cannot change the sum: bit-identical to the
 /// reference kernel by construction, enforced by soa_layout_test.
 void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
-                     std::size_t pool_index, const std::uint8_t* mask,
-                     const PassSnapshot* snap, PassSnapshot* cap) {
+                     std::size_t pool_index) {
   const std::size_t n = pool.pids.size();
   constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
   // Whole-pool fast path: when every member's pass-1 inputs are unchanged
@@ -660,27 +568,14 @@ void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
-    if (mask != nullptr && mask[x] == 0) {
-      raise(ctx, ps.w[x], snap->end.w_p[pi]);
-      raise(ctx, ps.r[x], snap->end.r_p[pi]);
-      if (ps.w[x] != s.w_p[pi] || ps.r[x] != s.r_p[pi]) {
-        intra[pi] |= kOutCur;
-        min_changed = std::min(min_changed, ps.prio[x]);
-      }
-      ctx.diverged += snap->p2_div[pi];
-      if (cap != nullptr) cap->p2_div[pi] = snap->p2_div[pi];
-      continue;
-    }
     if (intra_ok && vis[x] == 0 && ps.w[x] != ctx.cap &&
         min_changed >= ps.prio[x]) {
       // No dirty candidate (all candidates have strictly lower priority
-      // values), own inputs and outputs quiet: cap->p2_div[pi] stays 0
-      // (pre-assigned), matching the zero divergences a confirming
-      // recompute would record.
+      // values), own inputs and outputs quiet: a confirming recompute
+      // would change nothing and record no divergence.
       ++dstats.intra_skips;
       continue;
     }
-    const int div_before = ctx.diverged;
     const Time c_i = pool.wcet[x];
     const Time j_x = ps.j[x];
     const Time latest_x = ps.o[x] + j_x + std::max(ps.w[x], c_i);
@@ -754,9 +649,6 @@ void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
       intra[pi] |= kOutCur;
       min_changed = std::min(min_changed, ps.prio[x]);
     }
-    if (cap != nullptr) {
-      cap->p2_div[pi] = static_cast<std::int32_t>(ctx.diverged - div_before);
-    }
   }
   std::uint8_t* p1_active = ctx.ws.p1_active().data();
   const std::uint32_t* proc_graph = ctx.ws.proc_graph().data();
@@ -780,211 +672,14 @@ void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
   pool_valid = 1;
 }
 
-/// Pass-2 driver: per pool, computes the recompute mask from the base
-/// snapshot (nullptr snap = cold: recompute everything) and dispatches to
-/// the selected kernel.
-///
-/// Dirtiness inputs of one member: its post-pass-1 {o,e,j} (compared to
-/// the base's end-of-pass values — pass 2 does not change them), its
-/// post-pass-1 r (compared to the base's post-pass-1 snapshot), its
-/// incoming w (the PREVIOUS pass's end value, zero on pass 0), and its
-/// priority.  A clean member can still read a dirty one through the
-/// higher-priority interference sum, so the mask recomputes the whole
-/// priority band below the highest-priority dirty member.  That
-/// refinement is sound precisely because pass 2 has no blocking term:
-/// members never read lower-priority state.
-void pass2(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
-           const PassSnapshot* prev, PassSnapshot* cap) {
+/// Pass-2 driver: dispatches every ETC node pool to the selected kernel.
+void pass2(Ctx& ctx, State& s) {
   const std::vector<AnalysisWorkspace::ProcPool>& pools = ctx.ws.proc_pools();
   for (std::size_t pool_index = 0; pool_index < pools.size(); ++pool_index) {
-    const AnalysisWorkspace::ProcPool& pool = pools[pool_index];
-    const std::size_t n = pool.pids.size();
-    const std::uint8_t* mask = nullptr;
-    bool any_dirty = true;
-    bool settled = prev != nullptr;
-    if (snap != nullptr) {
-      util::AlignedVec<std::uint8_t>& buf = ctx.ws.kernel_scratch().mask;
-      any_dirty = false;
-      // Refined mask (Fast kernel only): the cached per-member lists ARE
-      // the exact read set of pass 2 — the kernel reads {o,e,j,w,r} of
-      // precisely the listed members (pruned and window entries included,
-      // since their dynamic predicates read o/r/e, all covered by the
-      // dirtiness compare below).  Recompute a member iff (a) its own
-      // candidate SET changed vs the base run — its pairwise order
-      // against some priority-changed member flipped, the same test the
-      // cache rebuild uses — or its cached row is stale vs the current
-      // priorities (so the closure below may not read it), or (b) it or
-      // anything in the transitive closure of its read set is dirty.
-      // Everything else replays base values, which a recompute would
-      // reproduce bit-exactly: same candidate set, same inputs, and the
-      // interference term is a sum over the set, so reorderings among
-      // unchanged candidates cannot alter it.  The closure sweep walks
-      // members in the cache's ascending priority-value order; seeds are
-      // pre-marked, and every non-seed member's fingerprint matches the
-      // cache, so each non-seed candidate's flag is final before its
-      // readers consult it.  More than 16 priority changes (or a cold
-      // cache) falls back to the coarser priority-band rule below.
-      bool refine = false;
-      const AnalysisWorkspace::CandidateCache& cc =
-          ctx.ws.proc_cand_cache(pool_index);
-      // Members whose priority differs from the cache fingerprint / from
-      // the base run (three priority vectors exist in a delta walk: the
-      // cache's, the base trajectory's, and the current candidate's).
-      std::size_t cache_changed[16];
-      std::size_t base_changed[16];
-      std::size_t n_cache_changed = 0;
-      std::size_t n_base_changed = 0;
-      if (ctx.eff_kernel == AnalysisKernel::Fast && cc.valid) {
-        refine = true;
-        const bool have_base = delta != nullptr &&
-                               delta->proc_prio_changed != nullptr &&
-                               delta->base_process_priorities != nullptr;
-        for (std::size_t x = 0; x < n && refine; ++x) {
-          const std::size_t pi = pool.pids[x].index();
-          if (cc.prio[x] != ctx.cfg.process_priority(pool.pids[x])) {
-            if (n_cache_changed == 16) {
-              refine = false;
-            } else {
-              cache_changed[n_cache_changed++] = x;
-            }
-          }
-          if (delta != nullptr && delta->proc_prio_changed != nullptr &&
-              (*delta->proc_prio_changed)[pi] != 0) {
-            if (!have_base || n_base_changed == 16) {
-              refine = false;
-            } else {
-              base_changed[n_base_changed++] = x;
-            }
-          }
-        }
-      }
-      Priority p_star = 0;
-      for (std::size_t x = 0; x < n; ++x) {
-        const std::size_t pi = pool.pids[x].index();
-        bool dirty = s.o_p[pi] != snap->end.o_p[pi] ||
-                     s.e_p[pi] != snap->end.e_p[pi] ||
-                     s.j_p[pi] != snap->end.j_p[pi] ||
-                     s.r_p[pi] != snap->r_p_mid[pi] ||
-                     s.w_p[pi] != (prev != nullptr ? prev->end.w_p[pi] : 0);
-        // Settled test: if the pool stays clean, its replay is a pure
-        // no-op exactly when every raise target is already met and the
-        // base recorded no divergence at this depth (the pre-zeroed
-        // cap->p2_div row then equals the base's).
-        settled = settled && snap->end.w_p[pi] <= s.w_p[pi] &&
-                  snap->end.r_p[pi] <= s.r_p[pi] && snap->p2_div[pi] == 0;
-        if (!refine && delta != nullptr && delta->proc_prio_changed != nullptr &&
-            (*delta->proc_prio_changed)[pi] != 0) {
-          dirty = true;
-        }
-        if (refine && !dirty && (n_cache_changed + n_base_changed) != 0) {
-          const Priority cur = ctx.cfg.process_priority(pool.pids[x]);
-          // Stale cached row (the closure may not consult it).
-          for (std::size_t c = 0; c < n_cache_changed && !dirty; ++c) {
-            const std::size_t j = cache_changed[c];
-            if (j == x) {
-              dirty = true;
-            } else {
-              const Priority cur_j = ctx.cfg.process_priority(pool.pids[j]);
-              dirty = (cc.prio[j] < cc.prio[x]) != (cur_j < cur);
-            }
-          }
-          // Candidate set differs from the base run's.
-          for (std::size_t c = 0; c < n_base_changed && !dirty; ++c) {
-            const std::size_t j = base_changed[c];
-            if (j == x) {
-              dirty = true;
-            } else {
-              const std::vector<Priority>& bp =
-                  *delta->base_process_priorities;
-              const Priority cur_j = ctx.cfg.process_priority(pool.pids[j]);
-              dirty = (bp[pool.pids[j].index()] < bp[pi]) != (cur_j < cur);
-            }
-          }
-        }
-        buf[x] = dirty ? 1 : 0;
-        if (dirty) {
-          if (!refine) {
-            // Band floor: a priority-CHANGED member affects everything
-            // below its old position as well as its new one (it stopped
-            // or started interfering with the span between them), so take
-            // the higher of the two.  State-dirty members have old == new.
-            Priority p = ctx.cfg.process_priority(pool.pids[x]);
-            if (delta != nullptr && delta->base_process_priorities != nullptr) {
-              p = std::min(p, (*delta->base_process_priorities)[pi]);
-            }
-            p_star = any_dirty ? std::min(p_star, p) : p;
-          }
-          any_dirty = true;
-        }
-      }
-      if (any_dirty) {
-        if (refine) {
-          ++ctx.ws.delta_stats().mask_refinements;
-          for (std::size_t t = 0; t < n; ++t) {
-            const std::uint32_t x = cc.order[t];
-            if (buf[x] != 0) continue;
-            const std::uint32_t* row = cc.list.data() + std::size_t{x} * n;
-            const std::uint32_t len = cc.len[x];
-            for (std::uint32_t c = 0; c < len; ++c) {
-              if (buf[row[c]] != 0) {
-                buf[x] = 1;
-                break;
-              }
-            }
-          }
-        } else {
-          for (std::size_t x = 0; x < n; ++x) {
-            if (buf[x] == 0 &&
-                ctx.cfg.process_priority(pool.pids[x]) > p_star) {
-              buf[x] = 1;
-            }
-          }
-        }
-      }
-      mask = buf.data();
-      DeltaStats& stats = ctx.ws.delta_stats();
-      if (any_dirty) {
-        ++stats.components_recomputed;
-      } else {
-        ++stats.components_skipped;
-      }
-    }
-    if (!any_dirty) {
-      if (settled) {
-        // The base pool settled at this depth: every replay raise target
-        // is already met and there is no divergence to account, so the
-        // replay writes nothing.  The intra-run bookkeeping stays exactly
-        // as valid as it was, so it is NOT invalidated here.
-        ++ctx.ws.delta_stats().settled_skips;
-        continue;
-      }
-      // Whole pool clean: replay without gathering.  With an equal
-      // entering state the replay reproduces the base values exactly, so
-      // the pass-equality claim survives untouched.  The intra-run skip
-      // bookkeeping was not maintained, so it cannot be trusted next pass.
-      ctx.ws.intra_pool_valid(pool_index) = 0;
-      for (std::size_t x = 0; x < n; ++x) {
-        replay_pass2_member(ctx, s, pool.pids[x].index(), *snap, cap);
-      }
-      continue;
-    }
     if (ctx.eff_kernel == AnalysisKernel::Fast) {
-      pass2_pool_fast(ctx, s, pool, pool_index, mask, snap, cap);
+      pass2_pool_fast(ctx, s, pools[pool_index], pool_index);
     } else {
-      ctx.ws.intra_pool_valid(pool_index) = 0;
-      pass2_pool_reference(ctx, s, pool, mask, snap, cap);
-    }
-    // Copy-on-dirty: recomputed members must land exactly on the base
-    // values for the pass to stay provably equal (replayed members are
-    // equal by construction under an equal entering state).
-    if (ctx.pass_equal) {
-      for (std::size_t x = 0; x < n && ctx.pass_equal; ++x) {
-        if (mask[x] == 0) continue;
-        const std::size_t pi = pool.pids[x].index();
-        ctx.pass_equal = s.w_p[pi] == snap->end.w_p[pi] &&
-                         s.r_p[pi] == snap->end.r_p[pi] &&
-                         cap->p2_div[pi] == snap->p2_div[pi];
-      }
+      pass2_pool_reference(ctx, s, pools[pool_index]);
     }
   }
 }
@@ -1261,106 +956,15 @@ void can_recurrences_fast(Ctx& ctx, State& s) {
   can_valid = 1;
 }
 
-/// Pass-3 driver: the CAN bus is one component — the lp blocking term
-/// couples every message to every other regardless of priority order, so
-/// there is no per-member or per-band refinement here.  (The Fast kernel
-/// still applies the intra-run fixed-point skip per member, using the
+/// Pass-3 driver: the whole CAN bus on the selected kernel.  (The Fast
+/// kernel applies the intra-run fixed-point skip per member, using the
 /// cached interference + blocking lists as the exact read set.)
-/// Dirtiness inputs:
-/// any CAN message's post-pass-1 {o,e,j}, its post-pass-1 d (vs the base's
-/// post-pass-1 snapshot), its incoming w (previous pass's end), or any
-/// CAN priority change.
-void pass3(Ctx& ctx, State& s, const RtaDelta* delta, const PassSnapshot* snap,
-           const PassSnapshot* prev, PassSnapshot* cap) {
-  const std::size_t n = ctx.can_messages.size();
-  if (n == 0) {
-    if (cap != nullptr) cap->can_div = 0;
-    return;
-  }
-  bool dirty = snap == nullptr ||
-               (delta != nullptr && delta->msg_prio_dirty);
-  bool settled = !dirty && snap->can_div == 0;
-  if (!dirty) {
-    for (std::size_t x = 0; x < n && !dirty; ++x) {
-      const std::size_t mi = ctx.can_messages[x].index();
-      dirty = s.o_m[mi] != snap->end.o_m[mi] ||
-              s.e_m[mi] != snap->end.e_m[mi] ||
-              s.j_m[mi] != snap->end.j_m[mi] ||
-              s.d_m[mi] != snap->d_m_mid[mi] ||
-              s.w_m[mi] != (prev != nullptr ? prev->end.w_m[mi] : 0);
-      // Settled test: the replay below writes nothing when every raise
-      // target is already met (see pass 2).
-      settled = settled && snap->end.w_m[mi] <= s.w_m[mi] &&
-                snap->r_m_mid[mi] <= s.r_m[mi] &&
-                (ctx.route[mi] == MessageRoute::EtToTt ||
-                 snap->end.d_m[mi] <= s.d_m[mi]);
-    }
-  }
-  if (snap != nullptr) {
-    DeltaStats& stats = ctx.ws.delta_stats();
-    if (dirty) {
-      ++stats.components_recomputed;
-    } else {
-      ++stats.components_skipped;
-    }
-  }
-  if (!dirty && settled) {
-    // No-op replay: nothing to write, no divergence to account, and the
-    // pre-zeroed cap->can_div already matches the base's.  The intra-run
-    // bookkeeping is untouched, so it keeps whatever validity it had.
-    ++ctx.ws.delta_stats().settled_skips;
-    return;
-  }
-  if (!dirty) {
-    // Replay bypasses the kernel's intra-run bookkeeping.
-    ctx.ws.intra_can_valid() = 0;
-    std::uint8_t* p1_active = ctx.ws.p1_active().data();
-    const std::uint32_t* msg_graph = ctx.ws.msg_graph().data();
-    for (std::size_t x = 0; x < n; ++x) {
-      const std::size_t mi = ctx.can_messages[x].index();
-      const Time w0 = s.w_m[mi];
-      const Time r0 = s.r_m[mi];
-      const Time d0 = s.d_m[mi];
-      raise(ctx, s.w_m[mi], snap->end.w_m[mi]);
-      // r is replayed from the post-pass-3 snapshot, NOT the end state:
-      // an ET->TT message's end r includes the pass-4 drain raise.
-      raise(ctx, s.r_m[mi], snap->r_m_mid[mi]);
-      if (ctx.route[mi] != MessageRoute::EtToTt) {
-        raise(ctx, s.d_m[mi], snap->end.d_m[mi]);
-      }
-      if (s.w_m[mi] != w0 || s.r_m[mi] != r0 || s.d_m[mi] != d0) {
-        p1_active[msg_graph[mi]] = 1;  // re-arm pass 1 for this graph
-      }
-    }
-    ctx.diverged += snap->can_div;
-    if (cap != nullptr) cap->can_div = snap->can_div;
-    return;
-  }
-  const int div_before = ctx.diverged;
+void pass3(Ctx& ctx, State& s) {
+  if (ctx.can_messages.empty()) return;
   if (ctx.eff_kernel == AnalysisKernel::Fast) {
     can_recurrences_fast(ctx, s);
   } else {
-    // The reference kernel does not maintain the intra-run skip bookkeeping.
-    ctx.ws.intra_can_valid() = 0;
     can_message_recurrences(ctx, s);
-  }
-  if (cap != nullptr) {
-    cap->can_div = static_cast<std::int32_t>(ctx.diverged - div_before);
-  }
-  // Copy-on-dirty: the recomputed bus must land exactly on the base
-  // values.  Post-pass-3 r_m is the r_m_mid snapshot; post-pass-3 d_m of
-  // an ET->TT message is still its post-pass-1 value (pass 3 skips it,
-  // pass 4 owns it), i.e. the base's d_m_mid.
-  if (ctx.pass_equal) {
-    ctx.pass_equal = cap->can_div == snap->can_div;
-    for (std::size_t x = 0; x < n && ctx.pass_equal; ++x) {
-      const std::size_t mi = ctx.can_messages[x].index();
-      const Time base_d = ctx.route[mi] == MessageRoute::EtToTt
-                              ? snap->d_m_mid[mi]
-                              : snap->end.d_m[mi];
-      ctx.pass_equal = s.w_m[mi] == snap->end.w_m[mi] &&
-                       s.r_m[mi] == snap->r_m_mid[mi] && s.d_m[mi] == base_d;
-    }
   }
 }
 
@@ -1433,72 +1037,14 @@ void out_ttp_drain(Ctx& ctx, State& s) {
 }
 
 /// Pass-4 driver: the OutTTP FIFO is one component (arrival order couples
-/// all ET->TT messages).  Dirtiness inputs per member: post-pass-3
-/// {o,e,j,w} (end values — pass 4 never changes them), post-pass-3 r, and
-/// the incoming d/ttp_wait (previous pass's end).  The drain calendar and
-/// the gateway slot are fingerprint-guaranteed identical to the base.
-/// Message priorities do NOT matter here: the FIFO count is priority-blind
-/// (message_can_interfere's state checks use no priorities).
+/// all ET->TT messages).
 ///
 /// Pass 4 never re-arms the pass-1 graph skip: it only writes i/ttp_wait/
 /// d/r of ET->TT messages, and none of those slots are pass-1 inputs (an
 /// ET->TT destination is a TT process, whose pinned branch reads no
 /// incoming-message state).
-void pass4(Ctx& ctx, State& s, const PassSnapshot* snap,
-           const PassSnapshot* prev, PassSnapshot* cap) {
-  if (ctx.et_to_tt.empty()) {
-    if (cap != nullptr) cap->ttp_div = 0;
-    return;
-  }
-  bool dirty = snap == nullptr;
-  bool settled = !dirty && snap->ttp_div == 0;
-  if (!dirty) {
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      if (s.o_m[mi] != snap->end.o_m[mi] || s.e_m[mi] != snap->end.e_m[mi] ||
-          s.j_m[mi] != snap->end.j_m[mi] || s.w_m[mi] != snap->end.w_m[mi] ||
-          s.r_m[mi] != snap->r_m_mid[mi] ||
-          s.d_m[mi] != (prev != nullptr ? prev->end.d_m[mi] : 0) ||
-          s.ttp_wait[mi] != (prev != nullptr ? prev->end.ttp_wait[mi] : 0)) {
-        dirty = true;
-        break;
-      }
-      // Settled test: the replay's assigns already hold and its raise
-      // targets are already met (see pass 2).
-      settled = settled && s.i_m[mi] == snap->end.i_m[mi] &&
-                s.ttp_wait[mi] == snap->end.ttp_wait[mi] &&
-                snap->end.d_m[mi] <= s.d_m[mi] &&
-                snap->end.r_m[mi] <= s.r_m[mi];
-    }
-  }
-  if (snap != nullptr) {
-    DeltaStats& stats = ctx.ws.delta_stats();
-    if (dirty) {
-      ++stats.components_recomputed;
-    } else {
-      ++stats.components_skipped;
-    }
-  }
-  if (!dirty && settled) {
-    // No-op replay; the pre-zeroed cap->ttp_div already matches.
-    ++ctx.ws.delta_stats().settled_skips;
-    return;
-  }
-  if (!dirty) {
-    // Replay bypasses the drain's intra-run bookkeeping.
-    ctx.ws.intra_ttp_state() = 0;
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      // i_m / ttp_wait are direct-assigned by the drain; d / r are raised.
-      s.i_m[mi] = snap->end.i_m[mi];
-      s.ttp_wait[mi] = snap->end.ttp_wait[mi];
-      raise(ctx, s.d_m[mi], snap->end.d_m[mi]);
-      raise(ctx, s.r_m[mi], snap->end.r_m[mi]);
-    }
-    ctx.diverged += snap->ttp_div;
-    if (cap != nullptr) cap->ttp_div = snap->ttp_div;
-    return;
-  }
+void pass4(Ctx& ctx, State& s) {
+  if (ctx.et_to_tt.empty()) return;
   // Intra-run quiescence skip (Fast kernel only, like the pass-2/3 skips):
   // the drain reads and writes only the ET->TT members' own fields, so if
   // all eight are unchanged since the previous drain of this run and that
@@ -1520,20 +1066,7 @@ void pass4(Ctx& ctx, State& s, const PassSnapshot* snap,
       }
     }
     if (quiet) {
-      // cap->ttp_div (pre-zeroed) and the pass-equality comparison below
-      // both read exactly what a confirming drain would leave behind.
       ws.delta_stats().intra_skips += ctx.et_to_tt.size();
-      if (ctx.pass_equal) {
-        ctx.pass_equal = cap->ttp_div == snap->ttp_div;
-        for (const MessageId mid : ctx.et_to_tt) {
-          if (!ctx.pass_equal) break;
-          const std::size_t mi = mid.index();
-          ctx.pass_equal = s.i_m[mi] == snap->end.i_m[mi] &&
-                           s.ttp_wait[mi] == snap->end.ttp_wait[mi] &&
-                           s.d_m[mi] == snap->end.d_m[mi] &&
-                           s.r_m[mi] == snap->end.r_m[mi];
-        }
-      }
       return;
     }
   }
@@ -1571,21 +1104,6 @@ void pass4(Ctx& ctx, State& s, const PassSnapshot* snap,
       }
     }
     ws.intra_ttp_state() = quiet ? 3 : 1;
-  }
-  if (cap != nullptr) {
-    cap->ttp_div = static_cast<std::int32_t>(ctx.diverged - div_before);
-  }
-  // Copy-on-dirty: the recomputed FIFO must land exactly on the base.
-  if (ctx.pass_equal) {
-    ctx.pass_equal = cap->ttp_div == snap->ttp_div;
-    for (const MessageId mid : ctx.et_to_tt) {
-      if (!ctx.pass_equal) break;
-      const std::size_t mi = mid.index();
-      ctx.pass_equal = s.i_m[mi] == snap->end.i_m[mi] &&
-                       s.ttp_wait[mi] == snap->end.ttp_wait[mi] &&
-                       s.d_m[mi] == snap->end.d_m[mi] &&
-                       s.r_m[mi] == snap->end.r_m[mi];
-    }
   }
 }
 
@@ -1659,9 +1177,7 @@ BufferBounds buffer_bounds(const Ctx& ctx, const State& s) {
 }  // namespace
 
 AnalysisResult response_time_analysis(const AnalysisInput& input,
-                                      AnalysisWorkspace& workspace,
-                                      const RtaDelta* delta,
-                                      AnalysisWorkspace::RtaTrajectory* capture) {
+                                      AnalysisWorkspace& workspace) {
   if (input.app == nullptr || input.platform == nullptr || input.config == nullptr) {
     throw std::invalid_argument("response_time_analysis: null input");
   }
@@ -1713,148 +1229,37 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
   State& s = workspace.reset_state();
   workspace.reset_intra();
 
-  const RtaTrajectory* base = (delta != nullptr) ? delta->base : nullptr;
-  if (capture != nullptr) {
-    capture->used = 0;
-    capture->complete = false;
-    capture->bounds_valid = false;
-    capture->base_record = RtaTrajectory::kNoBaseRecord;
-  }
-
-  // Copy-on-dirty anchor: the state starts zeroed (identical to the base
-  // run's start), so if the schedule was memoized — equal constraints,
-  // hence equal TT offsets and TTC slots, the only per-candidate inputs
-  // pass 1 reads besides priorities — the state entering iteration 0 is
-  // bit-equal to the base's.  Each pass then either replays (exact) or is
-  // compared output-equal; pass-1 determinism carries the claim across
-  // iterations.  Priority changes surface through the dirtiness masks and
-  // are caught by the output comparisons.
-  ctx.entering_equal = delta != nullptr && delta->schedule_memoized &&
-                       base != nullptr && capture != nullptr;
-
   AnalysisResult result;
   int iterations = 0;
-  int passes_run = 0;
   for (; iterations < ctx.opt.max_outer_iterations; ++iterations) {
     ctx.changed = false;
     // One span per fixed-point pass, only on runs the workspace sampled
     // (mcs.run counter divisible by obs::kAnalysisSampleEvery).
     std::optional<obs::Span> pass_span;
     if (workspace.obs_sampled()) {
-      pass_span.emplace("rta.pass", static_cast<std::uint64_t>(passes_run));
+      pass_span.emplace("rta.pass", static_cast<std::uint64_t>(iterations));
     }
-    // Base snapshot of the pass at the same depth (nullptr past the stored
-    // tail — the pass then recomputes everything, which is still exact).
-    const std::size_t k = static_cast<std::size_t>(passes_run);
-    const PassSnapshot* snap =
-        (base != nullptr && k < base->used) ? &base->passes[k] : nullptr;
-    const PassSnapshot* prev =
-        (snap != nullptr && k >= 1) ? &base->passes[k - 1] : nullptr;
-
     // Pass 1 is the conduit through which every cross-component effect
     // travels; it sweeps every graph whose activity byte is armed and
     // elides graphs proven quiescent (see propagate).
     propagate(ctx, s);
 
-    PassSnapshot* cap = nullptr;
-    if (capture != nullptr &&
-        capture->used < AnalysisWorkspace::kMaxStoredPasses) {
-      if (capture->passes.size() <= capture->used) capture->passes.emplace_back();
-      cap = &capture->passes[capture->used++];
-    }
-    // The pass-equality claim is only worth tracking when there is a base
-    // snapshot to steal from and a capture slot to mark.
-    ctx.pass_equal = ctx.entering_equal && snap != nullptr && cap != nullptr;
-    if (cap != nullptr) {
-      cap->from_base = false;
-      if (!ctx.pass_equal) {
-        // Mid-pass snapshots; skipped optimistically on the equal path
-        // (pass-1 determinism makes them bit-equal to the base's) and
-        // backfilled below if the pass turns out unequal after all.
-        cap->r_p_mid = s.r_p;
-        cap->d_m_mid = s.d_m;
-      }
-      cap->p2_div.assign(s.r_p.size(), 0);
-      cap->can_div = 0;
-      cap->ttp_div = 0;
-    }
+    pass2(ctx, s);
+    pass3(ctx, s);
+    pass4(ctx, s);
 
-    pass2(ctx, s, delta, snap, prev, cap);
-    pass3(ctx, s, delta, snap, prev, cap);
-    const bool equal_through_p3 = ctx.pass_equal;
-    if (cap != nullptr && !equal_through_p3) cap->r_m_mid = s.r_m;
-    pass4(ctx, s, snap, prev, cap);
-    if (cap != nullptr) {
-      if (ctx.pass_equal) {
-        // Whole pass bit-equal to the base: don't copy anything.  The
-        // commit steals (swaps) the base's buffers into this snapshot.
-        cap->from_base = true;
-      } else {
-        capture_state(cap->end, s);
-        if (ctx.entering_equal && snap != nullptr) {
-          // The optimistic skips above missed; the base's copies are
-          // bit-equal (the equality chain held through pass 1, which is
-          // what the mid snapshots capture), so backfill from there.
-          cap->r_p_mid = snap->r_p_mid;
-          cap->d_m_mid = snap->d_m_mid;
-          if (equal_through_p3) cap->r_m_mid = snap->r_m_mid;
-        }
-      }
-    }
-    ctx.entering_equal = ctx.pass_equal;
-
-    ++passes_run;
     if (std::vector<AnalysisWorkspace::TraceRecord>* sink =
             workspace.trace_sink()) {
-      sink->push_back({workspace.trace_iteration(), passes_run - 1, state_hash(s)});
+      sink->push_back({workspace.trace_iteration(), iterations, state_hash(s)});
     }
     if (!ctx.changed) break;
-  }
-  if (capture != nullptr) {
-    capture->complete =
-        (capture->used == static_cast<std::size_t>(passes_run));
   }
   result.converged =
       (iterations < ctx.opt.max_outer_iterations) && (ctx.diverged == 0);
   result.outer_iterations = iterations;
   result.diverged_activities = ctx.diverged;
 
-  // Buffer bounds need the complete final state.  They read only the CAN
-  // pool's {o,e,j,w,d}, the ET->TT i_m, and CAN priorities, so when all of
-  // those match the base's final state the stored bounds replay directly
-  // (the O(pool^2) pass is the dominant post-loop cost).
-  bool bounds_replayed = false;
-  if (base != nullptr && base->complete && base->bounds_valid &&
-      base->used > 0 && !(delta != nullptr && delta->msg_prio_dirty)) {
-    const State& fin = base->passes[base->used - 1].end;
-    bool same = true;
-    for (const MessageId mid : ctx.can_messages) {
-      const std::size_t mi = mid.index();
-      if (s.o_m[mi] != fin.o_m[mi] || s.e_m[mi] != fin.e_m[mi] ||
-          s.j_m[mi] != fin.j_m[mi] || s.w_m[mi] != fin.w_m[mi] ||
-          s.d_m[mi] != fin.d_m[mi]) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      for (const MessageId mid : ctx.et_to_tt) {
-        if (s.i_m[mid.index()] != fin.i_m[mid.index()]) {
-          same = false;
-          break;
-        }
-      }
-    }
-    if (same) {
-      result.buffers = base->bounds;
-      bounds_replayed = true;
-    }
-  }
-  if (!bounds_replayed) result.buffers = buffer_bounds(ctx, s);
-  if (capture != nullptr) {
-    capture->bounds = result.buffers;
-    capture->bounds_valid = true;
-  }
+  result.buffers = buffer_bounds(ctx, s);
 
   // Graph responses: completion of the latest process (sinks dominate, but
   // the max over all processes is robust to mid-fixed-point offsets).
@@ -1887,11 +1292,6 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
   result.message_delivery = s.d_m;
 
   return result;
-}
-
-AnalysisResult response_time_analysis(const AnalysisInput& input,
-                                      AnalysisWorkspace& workspace) {
-  return response_time_analysis(input, workspace, nullptr, nullptr);
 }
 
 AnalysisResult response_time_analysis(const AnalysisInput& input,

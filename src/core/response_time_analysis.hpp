@@ -58,38 +58,4 @@ struct AnalysisInput {
 [[nodiscard]] AnalysisResult response_time_analysis(const AnalysisInput& input,
                                                     AnalysisWorkspace& workspace);
 
-/// Incremental re-analysis plan (DESIGN.md §2).  `base` is a trajectory
-/// recorded by a previous run whose inputs differed AT MOST in process
-/// and CAN-message priorities (flagged below); the caller — normally
-/// multi_cluster_scheduling — is responsible for that fingerprint match.
-/// The run replays each stored pass, recomputing only components whose
-/// exact pre-pass inputs differ from the base, so the result is
-/// bit-identical to a cold run for ANY base (a wrong base costs time,
-/// never correctness).
-struct RtaDelta {
-  const AnalysisWorkspace::RtaTrajectory* base = nullptr;
-  /// Per-ProcessId flags: priority differs from the base run's.
-  const std::vector<std::uint8_t>* proc_prio_changed = nullptr;
-  /// Per-ProcessId priorities OF THE BASE RUN.  A priority-changed process
-  /// stops/starts interfering with everything between its old and its new
-  /// priority, so the pass-2 recompute band must extend up to the HIGHER
-  /// (numerically smaller) of the two.
-  const std::vector<Priority>* base_process_priorities = nullptr;
-  /// Any CAN-borne message priority differs from the base run's.
-  bool msg_prio_dirty = false;
-  /// The caller replayed its schedule memo for this iteration, i.e. the
-  /// TTC schedule (and hence every config-derived offset) is bit-equal to
-  /// the base run's.  Required anchor for the copy-on-dirty snapshot
-  /// capture: only then can an "all components clean" pass be recorded as
-  /// a reference into the base trajectory instead of a full State copy.
-  bool schedule_memoized = false;
-};
-
-/// Full-control overload: optional incremental plan, optional trajectory
-/// capture (for use as the next run's base).  Both convenience overloads
-/// forward here with {nullptr, nullptr}.
-[[nodiscard]] AnalysisResult response_time_analysis(
-    const AnalysisInput& input, AnalysisWorkspace& workspace,
-    const RtaDelta* delta, AnalysisWorkspace::RtaTrajectory* capture);
-
 }  // namespace mcs::core

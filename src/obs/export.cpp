@@ -22,13 +22,8 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   static const Counter mismatches = counter("delta.mismatches");
   static const Counter memo_hits = counter("delta.schedule_memo_hits");
   static const Counter elided = counter("delta.elided_iterations");
-  static const Counter comp_skipped = counter("delta.components_skipped");
-  static const Counter comp_recomputed = counter("delta.components_recomputed");
-  static const Counter settled = counter("delta.settled_skips");
   static const Counter cand_hits = counter("delta.cand_cache_hits");
   static const Counter cand_rebuilds = counter("delta.cand_cache_rebuilds");
-  static const Counter stolen = counter("delta.snapshots_stolen");
-  static const Counter refinements = counter("delta.mask_refinements");
   static const Counter intra = counter("delta.intra_skips");
   static const Counter p1_skips = counter("delta.p1_graph_skips");
   static const Counter cache_hits = counter("eval_cache.hits");
@@ -42,13 +37,8 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   mismatches.add(d.mismatches);
   memo_hits.add(d.schedule_memo_hits);
   elided.add(d.elided_iterations);
-  comp_skipped.add(d.components_skipped);
-  comp_recomputed.add(d.components_recomputed);
-  settled.add(d.settled_skips);
   cand_hits.add(d.cand_cache_hits);
   cand_rebuilds.add(d.cand_cache_rebuilds);
-  stolen.add(d.snapshots_stolen);
-  refinements.add(d.mask_refinements);
   intra.add(d.intra_skips);
   p1_skips.add(d.p1_graph_skips);
   cache_hits.add(eval_cache_hits);

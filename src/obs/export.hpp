@@ -21,7 +21,7 @@ struct FaultCounters;
 namespace mcs::obs {
 
 /// Publishes one finished job's analysis-engine counters: DeltaStats
-/// (delta replays, fallbacks, memo hits, snapshot steals, skips),
+/// (memo-eligible runs, fallbacks, memo hits, elided iterations, skips),
 /// evaluation-cache hits/lookups, the resolved kernel choice and the
 /// scratch footprint (gauge, max over jobs).  No-op while metrics are
 /// disabled.

@@ -1,15 +1,16 @@
-// Differential-testing oracle for the incremental (delta) evaluation path
+// Differential-testing oracle for the delta-mode evaluation path
 // (DESIGN.md §2).  Under DeltaMode::Check every MultiClusterScheduling run
-// through a workspace executes BOTH the trajectory-replay delta path and
-// the plain cold algorithm and throws std::logic_error unless the two
+// through a workspace executes BOTH the schedule-memo leg (list schedules
+// replayed from the previous run wherever the release constraints match)
+// and the plain cold algorithm and throws std::logic_error unless the two
 // McsResults are bit-identical (including published offsets).  The tests
 // below drive long random move walks — the same neighborhoods SA and the
 // hill climbers explore — through Check mode, so every evaluation after
 // every move (accepted and rejected alike) is a delta-vs-full comparison.
 //
 // Gateway/TTC-schedule moves (slot resizes, slot swaps, TTC shifts) change
-// the delta-eligibility fingerprint and must fall back to a cold run; the
-// walks mix those in and the stats assert that both the delta path and the
+// the memo-eligibility fingerprint and must fall back to a cold run; the
+// walks mix those in and the stats assert that both the memo path and the
 // fallback path were actually exercised — an oracle that silently never
 // takes the path under test proves nothing.
 #include <gtest/gtest.h>
@@ -133,8 +134,8 @@ TEST(DeltaOracle, RandomWalksAcrossSuitesBitIdenticalToFull) {
 
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GE(checked, 10'000u);
-  // The oracle must have exercised both paths: priority moves ride the
-  // trajectory replay, TDMA/shift moves force the cold fallback.
+  // The oracle must have exercised both paths: priority moves keep the
+  // memo-eligibility fingerprint, TDMA/shift moves force the cold fallback.
   EXPECT_GT(delta_runs, 0u);
   EXPECT_GT(fallbacks, 0u);
   // Priority-only iterations skip list_schedule via the schedule memo.
@@ -261,7 +262,7 @@ TEST(DeltaOracle, EvaluationCacheMatchesRecomputeUnderDeltaMode) {
 // End-to-end: the real optimizers under Check mode.  SA stresses the
 // accept/reject interleaving on one workspace; HOPA stresses repeated
 // priority reassignment rounds over a fixed TDMA round (every round after
-// the first is a pure delta run).
+// the first is memo-eligible).
 TEST(DeltaOracle, OptimizersRunCleanUnderCheckMode) {
   const auto sys = gen::generate(small_system(33));
   {

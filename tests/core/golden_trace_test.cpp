@@ -7,10 +7,13 @@
 // exact iteration and pass where the trajectories fork, not just as a
 // changed final answer (compensating errors cannot hide).
 //
-// Traces are recorded under DeltaMode::Off so they pin the SEED semantics:
-// the historical pass-for-pass trajectory that the delta machinery must
-// replay bit-exactly.  Regenerate after an intentional semantic change
-// with:  MCS_REGEN_GOLDEN=1 ./mcs_core_tests --gtest_filter='GoldenTrace.*'
+// Traces are recorded under DeltaMode::Off so they pin the plain
+// algorithm's pass-for-pass trajectory.  When the last MCS iteration feeds
+// back no new constraint, its deterministic repeat is elided and its
+// records are re-emitted under the next iteration index, so the trace
+// still lists that repeat exactly.  Regenerate after an intentional
+// semantic change with:
+//   MCS_REGEN_GOLDEN=1 ./mcs_core_tests --gtest_filter='GoldenTrace.*'
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -256,6 +256,11 @@ TEST(SoaLayout, ReusedScratchMatchesFreshAcrossDeltaModes) {
     }
     EXPECT_GT(ctx_on.delta_stats().delta_runs, 0u);
     EXPECT_EQ(ctx_off.delta_stats().delta_runs, 0u);
+    // The repeated last MCS iteration is elided in every mode, and the
+    // elided set is a property of the algorithm, not of the memo.
+    EXPECT_EQ(ctx_off.delta_stats().elided_iterations,
+              ctx_on.delta_stats().elided_iterations);
+    EXPECT_GT(ctx_off.delta_stats().elided_iterations, 0u);
   }
 }
 

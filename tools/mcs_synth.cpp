@@ -17,7 +17,8 @@
 //                           priorities, schedule table)
 //   --stats                 print evaluation-engine counters after the
 //                           run: active analysis kernel, DeltaStats
-//                           (replays/fallbacks/memo hits/skips),
+//                           (memo-eligible runs/fallbacks/memo hits/
+//                           elided iterations/skips),
 //                           candidate-list cache hit rate, evaluation
 //                           cache hit rate, scratch footprint
 //
@@ -111,7 +112,7 @@ using namespace mcs;
 
 namespace {
 
-constexpr const char* kVersion = "0.9.0";
+constexpr const char* kVersion = "0.10.0";
 
 /// Graceful-shutdown flag the signal handler raises; the job runtime
 /// polls it and drains (std::atomic<bool> is lock-free on every target we
@@ -554,9 +555,10 @@ void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
 
 // Evaluation-engine counters for the single-system synthesis run: which
 // kernel actually ran (a Fast request runs on Reference for a system
-// whose periods are not magic-encodable), how often the delta machinery replayed
-// vs fell back, and what the reuse layers (candidate-list cache,
-// evaluation cache, snapshot stealing, intra-run skips) delivered.
+// whose periods are not magic-encodable), how often a run was eligible for
+// the schedule memo vs fell back, and what the reuse layers (schedule
+// memo, iteration elision, candidate-list cache, evaluation cache,
+// intra-run skips) delivered.
 void print_stats(const core::MoveContext& ctx,
                  const core::McsOptions& mcs_options) {
   const core::AnalysisWorkspace& ws = ctx.workspace();
@@ -569,7 +571,7 @@ void print_stats(const core::MoveContext& ctx,
   std::printf("  analysis kernel        %s (requested: %s)\n",
               ws.active_kernel_name(mcs_options.analysis.kernel),
               core::kernel_name(mcs_options.analysis.kernel));
-  std::printf("  mcs runs               %llu full, %llu delta replays, "
+  std::printf("  mcs runs               %llu full, %llu memo-eligible, "
               "%llu fallbacks\n",
               static_cast<unsigned long long>(d.full_runs),
               static_cast<unsigned long long>(d.delta_runs),
@@ -581,23 +583,14 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.schedule_memo_hits));
   std::printf("  elided mcs iterations  %llu\n",
               static_cast<unsigned long long>(d.elided_iterations));
-  std::printf("  pass components        %llu replayed, %llu recomputed, "
-              "%llu settled no-ops\n",
-              static_cast<unsigned long long>(d.components_skipped),
-              static_cast<unsigned long long>(d.components_recomputed),
-              static_cast<unsigned long long>(d.settled_skips));
   std::printf("  candidate-list cache   %llu hits, %llu rebuilds "
               "(%.1f%% hit rate)\n",
               static_cast<unsigned long long>(d.cand_cache_hits),
               static_cast<unsigned long long>(d.cand_cache_rebuilds),
               pct(d.cand_cache_hits, d.cand_cache_hits + d.cand_cache_rebuilds));
-  std::printf("  snapshots stolen       %llu\n",
-              static_cast<unsigned long long>(d.snapshots_stolen));
-  std::printf("  fixed-point skips      %llu members, %llu pass-1 graphs, "
-              "%llu pass-2 mask refinements\n",
+  std::printf("  fixed-point skips      %llu members, %llu pass-1 graphs\n",
               static_cast<unsigned long long>(d.intra_skips),
-              static_cast<unsigned long long>(d.p1_graph_skips),
-              static_cast<unsigned long long>(d.mask_refinements));
+              static_cast<unsigned long long>(d.p1_graph_skips));
   const std::uint64_t hits = ctx.evaluation_cache().hits();
   const std::uint64_t lookups = hits + ctx.evaluation_cache().misses();
   std::printf("  evaluation cache       %llu/%llu hits (%.1f%% hit rate)\n",
