@@ -34,7 +34,8 @@ AnalysisWorkspace::AnalysisWorkspace(const Application& app,
                                      const arch::Platform& platform)
     : app_(&app),
       platform_(&platform),
-      owned_reach_(std::make_unique<model::ReachabilityIndex>(app)) {
+      owned_reach_(std::make_unique<model::ReachabilityIndex>(app)),
+      list_plan_(app, platform) {
   reach_ = owned_reach_.get();
   build();
 }
@@ -42,7 +43,7 @@ AnalysisWorkspace::AnalysisWorkspace(const Application& app,
 AnalysisWorkspace::AnalysisWorkspace(const Application& app,
                                      const arch::Platform& platform,
                                      const model::ReachabilityIndex& reachability)
-    : app_(&app), platform_(&platform), reach_(&reachability) {
+    : app_(&app), platform_(&platform), reach_(&reachability), list_plan_(app, platform) {
   build();
 }
 
@@ -90,6 +91,25 @@ void AnalysisWorkspace::build() {
     topo_.push_back(model::topological_order(
         app, GraphId(static_cast<GraphId::underlying_type>(gi))));
   }
+
+  path_to_.assign(app.num_processes(), 0);
+  for (const auto& order : topo_) model::longest_path_to(app, order, path_to_);
+
+  // Pass 1's pure-precedence arcs: a predecessor counts only when it sends
+  // the process no message at all.
+  pure_pred_begin_.assign(app.num_processes() + 1, 0);
+  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
+    const model::Process& proc =
+        app.process(ProcessId(static_cast<ProcessId::underlying_type>(pi)));
+    pure_pred_begin_[pi] = static_cast<std::uint32_t>(pure_pred_.size());
+    for (const ProcessId pred : proc.predecessors) {
+      const bool via_message =
+          std::any_of(proc.in_messages.begin(), proc.in_messages.end(),
+                      [&](MessageId mid) { return app.message(mid).src == pred; });
+      if (!via_message) pure_pred_.push_back(pred);
+    }
+  }
+  pure_pred_begin_[app.num_processes()] = static_cast<std::uint32_t>(pure_pred_.size());
 
   has_gateway_ = platform.has_gateway();
   if (has_gateway_) gateway_ = platform.gateway();

@@ -11,6 +11,12 @@
 //   * message routes (classify_route) and per-message CAN frame times,
 //   * the activity pools (CAN-borne, ET->TT, TT->ET, per-node OutNi),
 //   * ET processes grouped by node, topological orders per graph,
+//   * per-process longest paths to and from each process (HOPA's initial
+//     local deadlines, the list scheduler's critical-path priority),
+//   * the list-scheduling plan (sched::ListSchedulePlan: critical paths,
+//     TT flags, TT-predecessor counts, pure-precedence successor arcs)
+//     plus its reusable scratch buffers,
+//   * pass 1's pure-precedence predecessor arcs,
 //   * the precedence reachability closure,
 //   * the gateway transfer WCET and the divergence cap,
 //   * an empty TTC schedule for pure-ET analyses,
@@ -46,6 +52,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -140,6 +147,30 @@ public:
   [[nodiscard]] const std::vector<std::vector<util::ProcessId>>& topo_orders()
       const noexcept {
     return topo_;
+  }
+  /// WCET-weighted longest path ending at / starting from each process,
+  /// inclusive (model::longest_path_to / longest_path_from), by ProcessId.
+  [[nodiscard]] const std::vector<util::Time>& path_to() const noexcept {
+    return path_to_;
+  }
+  [[nodiscard]] const std::vector<util::Time>& path_from() const noexcept {
+    return list_plan_.critical_path();
+  }
+  /// The invariant half of list scheduling, and its reusable buffers.
+  [[nodiscard]] const sched::ListSchedulePlan& list_plan() const noexcept {
+    return list_plan_;
+  }
+  [[nodiscard]] sched::ListScheduleScratch& list_scratch() noexcept {
+    return list_scratch_;
+  }
+  /// Pass 1's pure-precedence predecessors of `p`: the predecessor list
+  /// minus EVERY arc from a process that sends `p` any message.  (The
+  /// list scheduler strikes one arc per message instead; on parallel arcs
+  /// the two rules differ, and each is kept as it is.)
+  [[nodiscard]] std::span<const util::ProcessId> pure_predecessors(
+      util::ProcessId p) const {
+    return {pure_pred_.data() + pure_pred_begin_[p.index()],
+            pure_pred_.data() + pure_pred_begin_[p.index() + 1]};
   }
   [[nodiscard]] bool has_gateway() const noexcept { return has_gateway_; }
   [[nodiscard]] util::NodeId gateway() const noexcept { return gateway_; }
@@ -468,6 +499,12 @@ private:
   std::vector<std::vector<util::ProcessId>> et_procs_by_node_;
   std::vector<std::vector<util::MessageId>> out_ni_by_node_;
   std::vector<std::vector<util::ProcessId>> topo_;
+  std::vector<util::Time> path_to_;
+  sched::ListSchedulePlan list_plan_;
+  sched::ListScheduleScratch list_scratch_;
+  /// CSR: the pure predecessors of p are pure_pred_[begin[p], begin[p + 1]).
+  std::vector<std::uint32_t> pure_pred_begin_;
+  std::vector<util::ProcessId> pure_pred_;
   bool has_gateway_ = false;
   util::NodeId gateway_ = util::NodeId::invalid();
   util::Time r_transfer_ = 0;

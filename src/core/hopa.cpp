@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 
 #include "mcs/model/process_graph.hpp"
 #include "mcs/obs/trace.hpp"
@@ -26,26 +27,22 @@ struct LocalDeadlines {
 
 /// Initial distribution: the deadline share of an activity is its
 /// completion fraction along the WCET-weighted longest path through it.
-LocalDeadlines initial_deadlines(const Application& app,
-                                 const arch::Platform& platform) {
+/// `to` / `from` are the dense longest paths ending at / starting from
+/// each process (AnalysisWorkspace::path_to / path_from).
+LocalDeadlines initial_deadlines(const Application& app, const std::vector<Time>& to,
+                                 const std::vector<Time>& from) {
   LocalDeadlines ld;
   ld.process.assign(app.num_processes(), 0.0);
   ld.message.assign(app.num_messages(), 0.0);
 
-  for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
-    const GraphId g(static_cast<GraphId::underlying_type>(gi));
-    const auto to = model::longest_path_to(app, g);      // incl. self
-    const auto from = model::longest_path_from(app, g);  // incl. self
-    const auto& procs = app.graph(g).processes;
-    const double deadline = static_cast<double>(app.graph(g).deadline);
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-      const auto& p = app.process(procs[i]);
-      const double through =
-          static_cast<double>(to[i] + from[i] - p.wcet);  // path length via i
-      const double fraction =
-          through > 0 ? static_cast<double>(to[i]) / through : 1.0;
-      ld.process[procs[i].index()] = deadline * fraction;
-    }
+  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
+    const auto& p = app.processes()[pi];
+    const double deadline = static_cast<double>(app.graph(p.graph).deadline);
+    const double through =
+        static_cast<double>(to[pi] + from[pi] - p.wcet);  // path length via p
+    const double fraction =
+        through > 0 ? static_cast<double>(to[pi]) / through : 1.0;
+    ld.process[pi] = deadline * fraction;
   }
   // A message inherits the sender's local deadline plus an epsilon so it
   // orders right after the sender; communication cost is refined by the
@@ -54,7 +51,6 @@ LocalDeadlines initial_deadlines(const Application& app,
     const auto& m = app.messages()[mi];
     ld.message[mi] = ld.process[m.src.index()] + 0.5;
   }
-  (void)platform;
   return ld;
 }
 
@@ -88,8 +84,17 @@ void assign_deadline_monotonic(const LocalDeadlines& ld,
 
 HopaResult initial_deadline_monotonic(const Application& app,
                                       const arch::Platform& platform) {
+  (void)platform;
+  std::vector<Time> to(app.num_processes(), 0);
+  std::vector<Time> from(app.num_processes(), 0);
+  for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
+    const auto order =
+        model::topological_order(app, GraphId(static_cast<GraphId::underlying_type>(gi)));
+    model::longest_path_to(app, order, to);
+    model::longest_path_from(app, order, from);
+  }
   HopaResult result;
-  const LocalDeadlines ld = initial_deadlines(app, platform);
+  const LocalDeadlines ld = initial_deadlines(app, to, from);
   assign_deadline_monotonic(ld, result.process_priorities,
                             result.message_priorities);
   return result;
@@ -106,8 +111,11 @@ HopaResult hopa_priorities(const Application& app, const arch::Platform& platfor
 HopaResult hopa_priorities(const Application& app, const arch::Platform& platform,
                            const arch::TdmaRound& tdma,
                            AnalysisWorkspace& workspace, const HopaOptions& options) {
+  if (!workspace.matches(app, platform)) {
+    throw std::invalid_argument("hopa_priorities: workspace built for a different system");
+  }
   const obs::Span hopa_span("hopa.run");
-  LocalDeadlines ld = initial_deadlines(app, platform);
+  LocalDeadlines ld = initial_deadlines(app, workspace.path_to(), workspace.path_from());
 
   HopaResult best;
   bool have_best = false;

@@ -220,7 +220,7 @@ sched::MobilityWindows MoveContext::mobility(const Evaluation& eval) const {
         a.process_offsets[m.src.index()] + a.process_response[m.src.index()];
     latency[mi] = std::max<Time>(0, a.message_delivery[mi] - sender_done);
   }
-  return sched::mobility_windows(app_, platform_, latency);
+  return sched::mobility_windows(app_, workspace_.topo_orders(), latency);
 }
 
 std::vector<Move> MoveContext::generate_neighbors(const Candidate& current,

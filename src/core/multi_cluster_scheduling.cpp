@@ -105,11 +105,12 @@ McsResult mcs_run(const model::Application& app, const arch::Platform& platform,
       ++stats.schedule_memo_hits;
     } else {
       result.schedule =
-          sched::list_schedule(app, platform, config.tdma(), constraints);
+          sched::list_schedule(app, platform, config.tdma(), constraints,
+                               workspace.list_plan(), workspace.list_scratch());
     }
     for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
       const util::ProcessId p(static_cast<util::ProcessId::underlying_type>(pi));
-      if (platform.is_tt(app.process(p).node)) {
+      if (workspace.list_plan().is_tt(p)) {
         config.set_process_offset(p, result.schedule.process_start[pi]);
       }
     }

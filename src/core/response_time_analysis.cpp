@@ -278,15 +278,7 @@ void propagate(Ctx& ctx, State& s) {
           latest = std::max(latest, s.d_m[mid.index()]);
         }
         // Pure-precedence arcs (same node): release after predecessor.
-        for (const ProcessId pred : p.predecessors) {
-          bool via_message = false;
-          for (const MessageId mid : p.in_messages) {
-            if (app.message(mid).src == pred) {
-              via_message = true;
-              break;
-            }
-          }
-          if (via_message) continue;
+        for (const ProcessId pred : ctx.ws.pure_predecessors(pid)) {
           release = std::max(release, s.o_p[pred.index()] + app.process(pred).wcet);
           latest = std::max(latest, s.o_p[pred.index()] + s.r_p[pred.index()]);
         }

@@ -1,49 +1,32 @@
 #include "mcs/model/process_graph.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace mcs::model {
 
-namespace {
-
-/// Local in-degree map restricted to one graph.  Duplicate arcs (a message
-/// plus an explicit dependency between the same pair) are counted as-is;
-/// Kahn's algorithm handles multiplicities naturally.
-std::unordered_map<ProcessId, std::size_t> in_degrees(const Application& app, GraphId g) {
-  std::unordered_map<ProcessId, std::size_t> deg;
-  for (const ProcessId p : app.graph(g).processes) {
-    deg[p] = app.process(p).predecessors.size();
-  }
-  return deg;
-}
-
-}  // namespace
-
 std::vector<ProcessId> topological_order(const Application& app, GraphId g) {
-  auto deg = in_degrees(app, g);
-  std::deque<ProcessId> ready;
-  for (const auto& [p, d] : deg) {
-    if (d == 0) ready.push_back(p);
-  }
-  // Deterministic order regardless of hash iteration.
-  std::sort(ready.begin(), ready.end());
-
+  const auto& procs = app.graph(g).processes;
+  // In-degrees indexed by ProcessId (entries of other graphs stay unused).
+  // Duplicate arcs (a message plus an explicit dependency between the same
+  // pair) are counted as-is; Kahn's algorithm handles multiplicities
+  // naturally.
+  std::vector<std::size_t> deg(app.num_processes(), 0);
   std::vector<ProcessId> order;
-  order.reserve(deg.size());
-  while (!ready.empty()) {
-    const ProcessId p = ready.front();
-    ready.pop_front();
-    order.push_back(p);
-    for (const ProcessId s : app.process(p).successors) {
-      auto it = deg.find(s);
-      if (it == deg.end()) continue;  // defensive: successor outside graph
-      if (--it->second == 0) ready.push_back(s);
+  order.reserve(procs.size());
+  for (const ProcessId p : procs) {
+    deg[p.index()] = app.process(p).predecessors.size();
+    if (deg[p.index()] == 0) order.push_back(p);
+  }
+  // Sources in id order; `order` doubles as the FIFO queue of Kahn.
+  std::sort(order.begin(), order.end());
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const ProcessId s : app.process(order[head]).successors) {
+      if (app.process(s).graph != g) continue;  // defensive: successor outside graph
+      if (--deg[s.index()] == 0) order.push_back(s);
     }
   }
-  if (order.size() != app.graph(g).processes.size()) {
+  if (order.size() != procs.size()) {
     throw std::invalid_argument("topological_order: graph has a cycle");
   }
   return order;
@@ -65,36 +48,51 @@ std::vector<ProcessId> sinks(const Application& app, GraphId g) {
   return out;
 }
 
-std::vector<Time> longest_path_to(const Application& app, GraphId g) {
-  const auto order = topological_order(app, g);
-  std::unordered_map<ProcessId, Time> dist;
+void longest_path_to(const Application& app, std::span<const ProcessId> order,
+                     std::span<Time> dist) {
   for (const ProcessId p : order) {
     Time best = 0;
     for (const ProcessId pred : app.process(p).predecessors) {
-      best = std::max(best, dist.at(pred));
+      best = std::max(best, dist[pred.index()]);
     }
-    dist[p] = best + app.process(p).wcet;
+    dist[p.index()] = best + app.process(p).wcet;
   }
-  std::vector<Time> out;
-  out.reserve(order.size());
-  for (const ProcessId p : app.graph(g).processes) out.push_back(dist.at(p));
-  return out;
 }
 
-std::vector<Time> longest_path_from(const Application& app, GraphId g) {
-  auto order = topological_order(app, g);
-  std::unordered_map<ProcessId, Time> dist;
+void longest_path_from(const Application& app, std::span<const ProcessId> order,
+                       std::span<Time> dist) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Time best = 0;
     for (const ProcessId s : app.process(*it).successors) {
-      best = std::max(best, dist.at(s));
+      best = std::max(best, dist[s.index()]);
     }
-    dist[*it] = best + app.process(*it).wcet;
+    dist[it->index()] = best + app.process(*it).wcet;
   }
+}
+
+namespace {
+
+/// Gathers a dense per-process vector into the graph's process order.
+std::vector<Time> in_graph_order(const Application& app, GraphId g,
+                                 const std::vector<Time>& dist) {
   std::vector<Time> out;
-  out.reserve(order.size());
-  for (const ProcessId p : app.graph(g).processes) out.push_back(dist.at(p));
+  out.reserve(app.graph(g).processes.size());
+  for (const ProcessId p : app.graph(g).processes) out.push_back(dist[p.index()]);
   return out;
+}
+
+}  // namespace
+
+std::vector<Time> longest_path_to(const Application& app, GraphId g) {
+  std::vector<Time> dist(app.num_processes(), 0);
+  longest_path_to(app, topological_order(app, g), dist);
+  return in_graph_order(app, g, dist);
+}
+
+std::vector<Time> longest_path_from(const Application& app, GraphId g) {
+  std::vector<Time> dist(app.num_processes(), 0);
+  longest_path_from(app, topological_order(app, g), dist);
+  return in_graph_order(app, g, dist);
 }
 
 ReachabilityIndex::ReachabilityIndex(const Application& app) {

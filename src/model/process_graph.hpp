@@ -4,14 +4,15 @@
 // computation and the workload generator.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mcs/model/application.hpp"
 
 namespace mcs::model {
 
-/// Processes of `g` in a topological order (Kahn).  Throws
-/// std::invalid_argument if the graph has a cycle.
+/// Processes of `g` in a topological order (Kahn: sources by ascending id,
+/// then FIFO).  Throws std::invalid_argument if the graph has a cycle.
 [[nodiscard]] std::vector<ProcessId> topological_order(const Application& app, GraphId g);
 
 /// Processes of `g` without predecessors / successors.
@@ -25,6 +26,15 @@ namespace mcs::model {
 
 /// Same, measured from each process (inclusive) to any sink.
 [[nodiscard]] std::vector<Time> longest_path_from(const Application& app, GraphId g);
+
+/// Dense forms of the two above for callers that already hold a graph's
+/// topological `order`: each process p of the order gets its path length
+/// in `dist[p.index()]`.  `dist` spans every process of the application;
+/// entries of other graphs are neither read nor written.
+void longest_path_to(const Application& app, std::span<const ProcessId> order,
+                     std::span<Time> dist);
+void longest_path_from(const Application& app, std::span<const ProcessId> order,
+                       std::span<Time> dist);
 
 /// True if `from` reaches `to` through precedence arcs (used by the
 /// offset-window pruning in the response-time analysis and by tests).

@@ -16,6 +16,22 @@ using util::Time;
 MobilityWindows mobility_windows(const model::Application& app,
                                  const arch::Platform& platform,
                                  const std::vector<Time>& message_latency) {
+  (void)platform;
+  std::vector<std::vector<ProcessId>> topo_orders;
+  topo_orders.reserve(app.num_graphs());
+  for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
+    topo_orders.push_back(
+        model::topological_order(app, GraphId(static_cast<GraphId::underlying_type>(gi))));
+  }
+  return mobility_windows(app, topo_orders, message_latency);
+}
+
+MobilityWindows mobility_windows(const model::Application& app,
+                                 const std::vector<std::vector<ProcessId>>& topo_orders,
+                                 const std::vector<Time>& message_latency) {
+  if (topo_orders.size() != app.num_graphs()) {
+    throw std::invalid_argument("mobility_windows: one topological order per graph");
+  }
   if (message_latency.size() != app.num_messages()) {
     throw std::invalid_argument("mobility_windows: latency vector arity mismatch");
   }
@@ -37,7 +53,7 @@ MobilityWindows mobility_windows(const model::Application& app,
 
   for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
     const GraphId g(static_cast<GraphId::underlying_type>(gi));
-    const auto order = model::topological_order(app, g);
+    const auto& order = topo_orders[gi];
     const Time deadline = app.graph(g).deadline;
 
     // Forward pass: ASAP.
@@ -69,7 +85,6 @@ MobilityWindows mobility_windows(const model::Application& app,
       if (w.alap[p.index()] < w.asap[p.index()]) w.alap[p.index()] = w.asap[p.index()];
     }
   }
-  (void)platform;
   return w;
 }
 

@@ -36,4 +36,11 @@ struct MobilityWindows {
     const model::Application& app, const arch::Platform& platform,
     const std::vector<util::Time>& message_latency);
 
+/// Same, given every graph's topological order (indexed by graph; e.g.
+/// core::AnalysisWorkspace::topo_orders()) instead of deriving them.
+[[nodiscard]] MobilityWindows mobility_windows(
+    const model::Application& app,
+    const std::vector<std::vector<util::ProcessId>>& topo_orders,
+    const std::vector<util::Time>& message_latency);
+
 }  // namespace mcs::sched

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "mcs/model/process_graph.hpp"
 #include "mcs/util/math.hpp"
@@ -94,82 +93,128 @@ Time ScheduleConstraints::message_lb(MessageId m) const {
   return message_tx.empty() ? 0 : message_tx.at(m.index());
 }
 
+ListSchedulePlan::ListSchedulePlan(const Application& app,
+                                   const arch::Platform& platform) {
+  const std::size_t n = app.num_processes();
+  critical_path_.assign(n, 0);
+  for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
+    const GraphId g(static_cast<GraphId::underlying_type>(gi));
+    model::longest_path_from(app, model::topological_order(app, g), critical_path_);
+  }
+
+  is_tt_.assign(n, 0);
+  tt_preds_.assign(n, 0);
+  pure_succ_begin_.assign(n + 1, 0);
+  // Message arcs still to strike per destination while walking one
+  // process's successor list.  Every message is also a successor entry,
+  // so the counts are back to zero after each walk.
+  std::vector<std::uint32_t> message_arcs(n, 0);
+  for (std::size_t pi = 0; pi < n; ++pi) {
+    const model::Process& proc =
+        app.process(ProcessId(static_cast<ProcessId::underlying_type>(pi)));
+    if (platform.is_tt(proc.node)) {
+      is_tt_[pi] = 1;
+      ++tt_count_;
+      for (const ProcessId pred : proc.predecessors) {
+        if (platform.is_tt(app.process(pred).node)) ++tt_preds_[pi];
+      }
+    }
+    pure_succ_begin_[pi] = static_cast<std::uint32_t>(pure_succ_.size());
+    // Each successor entry is one arc; strike one arc per outgoing message
+    // to that destination, the rest are pure precedence.
+    for (const MessageId mid : proc.out_messages) {
+      ++message_arcs[app.message(mid).dst.index()];
+    }
+    for (const ProcessId succ : proc.successors) {
+      if (message_arcs[succ.index()] > 0) {
+        --message_arcs[succ.index()];
+        continue;
+      }
+      pure_succ_.push_back(succ);
+    }
+  }
+  pure_succ_begin_[n] = static_cast<std::uint32_t>(pure_succ_.size());
+}
+
 TtcSchedule list_schedule(const Application& app, const arch::Platform& platform,
                           const arch::TdmaRound& tdma,
                           const ScheduleConstraints& constraints) {
-  TtcSchedule out;
-  out.process_start.assign(app.num_processes(), 0);
-  out.message_slot.assign(app.num_messages(), std::nullopt);
+  ListScheduleScratch scratch;
+  return list_schedule(app, platform, tdma, constraints,
+                       ListSchedulePlan(app, platform), scratch);
+}
 
-  // Critical-path priorities (per graph, WCET-weighted path to a sink).
-  std::vector<Time> cp(app.num_processes(), 0);
-  for (std::size_t gi = 0; gi < app.num_graphs(); ++gi) {
-    const GraphId g(static_cast<GraphId::underlying_type>(gi));
-    const auto lp = model::longest_path_from(app, g);
-    const auto& procs = app.graph(g).processes;
-    for (std::size_t i = 0; i < procs.size(); ++i) cp[procs[i].index()] = lp[i];
+TtcSchedule list_schedule(const Application& app, const arch::Platform& platform,
+                          const arch::TdmaRound& tdma,
+                          const ScheduleConstraints& constraints,
+                          const ListSchedulePlan& plan, ListScheduleScratch& scratch) {
+  const std::size_t n = app.num_processes();
+  if (plan.critical_path().size() != n) {
+    throw std::invalid_argument("list_schedule: plan built for a different application");
   }
+  TtcSchedule out;
+  out.process_start.assign(n, 0);
+  out.message_slot.assign(app.num_messages(), std::nullopt);
 
   // Only TT processes are scheduled here.  A TT process becomes ready when
   // every predecessor constraint is resolved: TT predecessors must have
   // been scheduled (their finish / message delivery is known); ET
   // predecessors contribute through `constraints.process_release` (the
   // MultiClusterScheduling fixed point supplies worst-case deliveries).
-  std::vector<std::size_t> unresolved(app.num_processes(), 0);
-  std::vector<bool> is_tt_proc(app.num_processes(), false);
-  std::vector<Time> release(app.num_processes(), 0);
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    const ProcessId p(static_cast<ProcessId::underlying_type>(pi));
-    const model::Process& proc = app.process(p);
-    if (!platform.is_tt(proc.node)) continue;
-    is_tt_proc[pi] = true;
-    release[pi] = constraints.process_lb(p);
-    std::size_t n = 0;
-    for (const ProcessId pred : proc.predecessors) {
-      if (platform.is_tt(app.process(pred).node)) ++n;
-    }
-    unresolved[pi] = n;
-  }
+  std::vector<std::uint32_t>& unresolved = scratch.unresolved;
+  std::vector<Time>& release = scratch.release;
+  std::vector<Time>& node_free = scratch.node_free;
+  std::vector<ProcessId>& ready = scratch.ready;
+  unresolved.assign(n, 0);
+  release.assign(n, 0);
+  node_free.assign(platform.num_nodes(), 0);
+  ready.clear();
 
-  // Ready set ordered by (longest critical path first, then id).
-  auto cmp = [&cp](ProcessId a, ProcessId b) {
-    if (cp[a.index()] != cp[b.index()]) return cp[a.index()] > cp[b.index()];
-    return a < b;
+  // Ready heap: its top is the longest critical path, ties to the lowest
+  // id.  The order is strict and total, so the pop sequence is fully
+  // determined by the ready set.
+  const std::vector<Time>& cp = plan.critical_path();
+  const auto lower_priority = [&cp](ProcessId a, ProcessId b) {
+    if (cp[a.index()] != cp[b.index()]) return cp[a.index()] < cp[b.index()];
+    return b < a;
   };
-  std::set<ProcessId, decltype(cmp)> ready(cmp);
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    if (is_tt_proc[pi] && unresolved[pi] == 0) {
-      ready.insert(ProcessId(static_cast<ProcessId::underlying_type>(pi)));
-    }
+  const auto push_ready = [&](ProcessId p) {
+    ready.push_back(p);
+    std::push_heap(ready.begin(), ready.end(), lower_priority);
+  };
+  for (std::size_t pi = 0; pi < n; ++pi) {
+    const ProcessId p(static_cast<ProcessId::underlying_type>(pi));
+    if (!plan.is_tt(p)) continue;
+    release[pi] = constraints.process_lb(p);
+    unresolved[pi] = plan.tt_predecessors(p);
+    if (unresolved[pi] == 0) push_ready(p);
   }
 
-  std::unordered_map<NodeId, Time> node_free;
   FrameLoad frame_load;
-  std::vector<Time> finish(app.num_processes(), 0);
   std::size_t scheduled = 0;
 
   auto resolve_successor = [&](ProcessId succ) {
-    if (!is_tt_proc[succ.index()]) return;
-    if (--unresolved[succ.index()] == 0) ready.insert(succ);
+    if (!plan.is_tt(succ)) return;
+    if (--unresolved[succ.index()] == 0) push_ready(succ);
   };
 
   while (!ready.empty()) {
-    const ProcessId p = *ready.begin();
-    ready.erase(ready.begin());
+    std::pop_heap(ready.begin(), ready.end(), lower_priority);
+    const ProcessId p = ready.back();
+    ready.pop_back();
     const model::Process& proc = app.process(p);
 
-    const Time start = std::max(release[p.index()], node_free[proc.node]);
+    const Time start = std::max(release[p.index()], node_free[proc.node.index()]);
+    const Time finish = start + proc.wcet;
     out.process_start[p.index()] = start;
-    finish[p.index()] = start + proc.wcet;
-    node_free[proc.node] = finish[p.index()];
-    out.makespan = std::max(out.makespan, finish[p.index()]);
+    node_free[proc.node.index()] = finish;
+    out.makespan = std::max(out.makespan, finish);
     ++scheduled;
 
-    // Pure precedence arcs to same-cluster successors.
+    // Every successor is released no earlier than this finish; message
+    // arcs raise the bound further below.
     for (const ProcessId succ : proc.successors) {
-      // Message-carried arcs are handled below; a successor connected by
-      // both kinds still ends up with the max of the lower bounds.
-      release[succ.index()] = std::max(release[succ.index()], finish[p.index()]);
+      release[succ.index()] = std::max(release[succ.index()], finish);
     }
     // Outgoing messages: place remote ones on the TTP bus.
     for (const MessageId mid : proc.out_messages) {
@@ -178,9 +223,10 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
       if (dst_node == proc.node) {
         // Local: receiver can start right after the sender.
         release[msg.dst.index()] =
-            std::max(release[msg.dst.index()], finish[p.index()]);
+            std::max(release[msg.dst.index()], finish);
       } else {
         if (!tdma.owns_slot(proc.node)) {
+          // The message arc stays unresolved: its receiver is never ready.
           out.feasible = false;
           out.problems.push_back("node '" + platform.node(proc.node).name +
                                  "' sends message '" + msg.name +
@@ -188,7 +234,7 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
           continue;
         }
         const Time earliest =
-            std::max(finish[p.index()], constraints.message_lb(mid));
+            std::max(finish, constraints.message_lb(mid));
         const auto assignment = place_message(tdma, tdma.slot_of(proc.node),
                                               earliest, msg.size_bytes, frame_load);
         out.message_slot[mid.index()] = assignment;
@@ -202,29 +248,13 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
       }
       resolve_successor(msg.dst);
     }
-    // Dependencies without a message.  Each successor entry corresponds to
-    // exactly one arc; message-carried arcs were resolved above, so here we
-    // resolve the remaining (pure-precedence) arcs, handling the corner
-    // case of parallel arcs (message + explicit dependency) correctly.
-    std::unordered_map<ProcessId, std::size_t> message_arcs;
-    for (const MessageId mid : proc.out_messages) ++message_arcs[app.message(mid).dst];
-    for (const ProcessId succ : proc.successors) {
-      auto it = message_arcs.find(succ);
-      if (it != message_arcs.end() && it->second > 0) {
-        --it->second;  // this arc was the message arc, already resolved
-        continue;
-      }
-      resolve_successor(succ);
-    }
+    // Dependencies without a message (message arcs were resolved above).
+    for (const ProcessId succ : plan.pure_successors(p)) resolve_successor(succ);
   }
 
   // All TT processes must have been placed (otherwise a dependency cycle
   // or an arc from an unscheduled predecessor remained).
-  std::size_t tt_count = 0;
-  for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
-    if (is_tt_proc[pi]) ++tt_count;
-  }
-  if (scheduled != tt_count) {
+  if (scheduled != plan.tt_count()) {
     out.feasible = false;
     out.problems.push_back("list_schedule: not all TT processes could be scheduled "
                            "(dependency cycle?)");
@@ -235,6 +265,9 @@ TtcSchedule list_schedule(const Application& app, const arch::Platform& platform
 std::vector<Time> recommended_slot_lengths(const Application& app,
                                            const arch::Platform& platform,
                                            NodeId node, std::size_t max_candidates) {
+  if (max_candidates == 0) {
+    throw std::invalid_argument("recommended_slot_lengths: max_candidates must be >= 1");
+  }
   // Candidate lengths: enough for each distinct outgoing message size, for
   // the largest message, and for packing the two/all largest together.
   std::vector<std::int64_t> sizes;
@@ -267,6 +300,7 @@ std::vector<Time> recommended_slot_lengths(const Application& app,
   }
   std::sort(lengths.begin(), lengths.end());
   lengths.erase(std::unique(lengths.begin(), lengths.end()), lengths.end());
+  if (max_candidates == 1) return {lengths.back()};
   if (lengths.size() > max_candidates) {
     // Keep the smallest, the largest and an even spread in between.
     std::vector<Time> kept;

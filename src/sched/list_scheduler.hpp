@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,54 @@ struct TtcSchedule {
   std::vector<std::string> problems;
 };
 
+/// Everything list scheduling derives from the application and the
+/// platform alone — neither the TDMA round nor the constraints — so a
+/// search loop builds it once (AnalysisWorkspace) and every call reads it.
+/// All arrays are indexed by ProcessId.
+class ListSchedulePlan {
+public:
+  /// Throws std::invalid_argument for cyclic graphs.
+  ListSchedulePlan(const Application& app, const arch::Platform& platform);
+
+  /// Priority: WCET-weighted longest path from the process to a sink of
+  /// its graph (model::longest_path_from).
+  [[nodiscard]] const std::vector<Time>& critical_path() const noexcept {
+    return critical_path_;
+  }
+  [[nodiscard]] bool is_tt(ProcessId p) const { return is_tt_[p.index()] != 0; }
+  /// Arcs from TT predecessors: a TT process is ready once all resolved.
+  [[nodiscard]] std::uint32_t tt_predecessors(ProcessId p) const {
+    return tt_preds_[p.index()];
+  }
+  [[nodiscard]] std::size_t tt_count() const noexcept { return tt_count_; }
+  /// Successor arcs of `p` that carry no message: the successor list with
+  /// one arc per outgoing message to that destination removed (parallel
+  /// arcs — a message plus an explicit dependency — keep the dependency).
+  [[nodiscard]] std::span<const ProcessId> pure_successors(ProcessId p) const {
+    return {pure_succ_.data() + pure_succ_begin_[p.index()],
+            pure_succ_.data() + pure_succ_begin_[p.index() + 1]};
+  }
+
+private:
+  std::vector<Time> critical_path_;
+  std::vector<std::uint8_t> is_tt_;
+  std::vector<std::uint32_t> tt_preds_;
+  std::size_t tt_count_ = 0;
+  /// CSR: the pure successors of p are pure_succ_[begin[p], begin[p + 1]).
+  std::vector<std::uint32_t> pure_succ_begin_;
+  std::vector<ProcessId> pure_succ_;
+};
+
+/// Per-call working buffers of list_schedule, kept by the caller so
+/// repeated calls reuse their capacity.  Contents between calls are
+/// meaningless.
+struct ListScheduleScratch {
+  std::vector<std::uint32_t> unresolved;  ///< per process
+  std::vector<Time> release;              ///< per process
+  std::vector<Time> node_free;            ///< per node
+  std::vector<ProcessId> ready;           ///< binary heap
+};
+
 /// List scheduling with critical-path priorities.  Deterministic: ties are
 /// broken by ProcessId.  Throws std::invalid_argument for cyclic graphs.
 [[nodiscard]] TtcSchedule list_schedule(const Application& app,
@@ -69,10 +118,20 @@ struct TtcSchedule {
                                         const arch::TdmaRound& tdma,
                                         const ScheduleConstraints& constraints);
 
+/// Same, reading a prebuilt `plan` of (app, platform) and reusing
+/// `scratch` (the MultiClusterScheduling hot path).
+[[nodiscard]] TtcSchedule list_schedule(const Application& app,
+                                        const arch::Platform& platform,
+                                        const arch::TdmaRound& tdma,
+                                        const ScheduleConstraints& constraints,
+                                        const ListSchedulePlan& plan,
+                                        ListScheduleScratch& scratch);
+
 /// Recommended slot lengths for the slot owned by `node` (paper §5.1 /
 /// reference [5]): the distinct "useful" lengths to try during the bus
 /// access optimization — one per subset-sum of outgoing message sizes up
-/// to the total, deduplicated and clamped to at most `max_candidates`.
+/// to the total, deduplicated and clamped to at most `max_candidates`
+/// (1 keeps only the largest length; 0 throws std::invalid_argument).
 [[nodiscard]] std::vector<Time> recommended_slot_lengths(const Application& app,
                                                          const arch::Platform& platform,
                                                          NodeId node,

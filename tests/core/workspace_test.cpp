@@ -5,11 +5,14 @@
 // recomputed one.
 #include <gtest/gtest.h>
 
+#include "mcs/core/hopa.hpp"
 #include "mcs/core/moves.hpp"
 #include "mcs/core/multi_cluster_scheduling.hpp"
 #include "mcs/core/response_time_analysis.hpp"
 #include "mcs/gen/generator.hpp"
 #include "mcs/gen/paper_example.hpp"
+#include "mcs/gen/suites.hpp"
+#include "mcs/model/process_graph.hpp"
 #include "mcs/util/hash.hpp"
 
 namespace mcs::core {
@@ -155,6 +158,159 @@ TEST(AnalysisWorkspace, DirectAnalysisMatchesFreshOnPaperExample) {
   }
 }
 
+void expect_same_schedule(const sched::TtcSchedule& a, const sched::TtcSchedule& b) {
+  EXPECT_EQ(a.process_start, b.process_start);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.problems, b.problems);
+  ASSERT_EQ(a.message_slot.size(), b.message_slot.size());
+  for (std::size_t mi = 0; mi < a.message_slot.size(); ++mi) {
+    const auto& x = a.message_slot[mi];
+    const auto& y = b.message_slot[mi];
+    ASSERT_EQ(x.has_value(), y.has_value()) << "message " << mi;
+    if (!x) continue;
+    EXPECT_EQ(x->slot_index, y->slot_index) << "message " << mi;
+    EXPECT_EQ(x->first_round, y->first_round) << "message " << mi;
+    EXPECT_EQ(x->rounds, y->rounds) << "message " << mi;
+    EXPECT_EQ(x->tx_start, y->tx_start) << "message " << mi;
+    EXPECT_EQ(x->delivery, y->delivery) << "message " << mi;
+  }
+}
+
+TEST(AnalysisWorkspace, ListSchedulePlanMatchesStandaloneAcrossSuites) {
+  std::vector<gen::SuitePoint> points = gen::tiny_suite(2);
+  for (const auto& suite : {gen::validation_suite(2), gen::figure9ab_suite(1),
+                            gen::figure9c_suite(1)}) {
+    points.insert(points.end(), suite.begin(), suite.end());
+  }
+  std::size_t compared = 0;
+  for (const gen::SuitePoint& point : points) {
+    const auto sys = gen::generate(point.params);
+    const AnalysisWorkspace ws(sys.app, sys.platform);
+    // One scratch across every call: stale contents must never leak.
+    sched::ListScheduleScratch scratch;
+
+    const Candidate initial = Candidate::initial(sys.app, sys.platform);
+    std::vector<arch::TdmaRound> rounds{initial.tdma};
+    if (initial.tdma.num_slots() >= 2) {
+      rounds.push_back(initial.tdma.with_swapped_slots(0, initial.tdma.num_slots() - 1));
+      rounds.push_back(initial.tdma.with_slot_length(
+          1, initial.tdma.slot(1).length + initial.tdma.params().time_per_byte * 16));
+    }
+    std::vector<sched::ScheduleConstraints> pins{sched::ScheduleConstraints::none(sys.app)};
+    sched::ScheduleConstraints pinned = pins.front();
+    for (std::size_t i = 0; i < pinned.process_release.size(); i += 3) {
+      pinned.process_release[i] = static_cast<util::Time>((i * 37) % 400);
+    }
+    for (std::size_t i = 0; i < pinned.message_tx.size(); i += 2) {
+      pinned.message_tx[i] = static_cast<util::Time>((i * 53) % 600);
+    }
+    pins.push_back(pinned);
+
+    for (const arch::TdmaRound& round : rounds) {
+      for (const sched::ScheduleConstraints& c : pins) {
+        const auto standalone = sched::list_schedule(sys.app, sys.platform, round, c);
+        const auto planned = sched::list_schedule(sys.app, sys.platform, round, c,
+                                                  ws.list_plan(), scratch);
+        expect_same_schedule(planned, standalone);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 50u);
+}
+
+TEST(AnalysisWorkspace, HoistedPathLengthsMatchPerGraphFunctions) {
+  const auto sys = gen::generate(small_system(44, 2, 2));
+  const AnalysisWorkspace ws(sys.app, sys.platform);
+  for (std::size_t gi = 0; gi < sys.app.num_graphs(); ++gi) {
+    const model::GraphId g(static_cast<model::GraphId::underlying_type>(gi));
+    EXPECT_EQ(ws.topo_orders()[gi], model::topological_order(sys.app, g));
+    const auto to = model::longest_path_to(sys.app, g);
+    const auto from = model::longest_path_from(sys.app, g);
+    const auto& procs = sys.app.graph(g).processes;
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      EXPECT_EQ(ws.path_to()[procs[i].index()], to[i]);
+      EXPECT_EQ(ws.path_from()[procs[i].index()], from[i]);
+    }
+  }
+}
+
+/// The paper example plus parallel arcs — an explicit dependency beside a
+/// message — on every route: TT->ET (P1 -> P2), ET->TT (P2 -> P4), local
+/// on the ETC (P3 -> P5), local on the TTC (P1 -> P6) and ET->ET over CAN
+/// (P5 -> P7, to a second ET node).
+gen::PaperExample parallel_arc_example() {
+  gen::PaperExample ex = gen::make_paper_example();
+  const auto n3 = ex.platform.add_et_node("N3");
+  ex.app.add_dependency(ex.p1, ex.p2);
+  ex.app.add_dependency(ex.p2, ex.p4);
+  const auto p5 = ex.app.add_process(ex.g1, "P5", ex.n2, 15);
+  (void)ex.app.add_message(ex.p3, p5, 4, "m4");
+  ex.app.add_dependency(ex.p3, p5);
+  const auto p6 = ex.app.add_process(ex.g1, "P6", ex.n1, 10);
+  (void)ex.app.add_message(ex.p1, p6, 4, "m5");
+  ex.app.add_dependency(ex.p1, p6);
+  const auto p7 = ex.app.add_process(ex.g1, "P7", n3, 5);
+  (void)ex.app.add_message(p5, p7, 8, "m6");
+  ex.app.add_dependency(p5, p7);
+  return ex;
+}
+
+TEST(AnalysisWorkspace, ParallelArcAnalysisIsPinned) {
+  // Pinned values: pass 1 drops EVERY arc from a predecessor that sends the
+  // process any message, and the list scheduler strikes one arc per
+  // message; hoisting either rule must not move a single value.
+  using V = std::vector<util::Time>;
+  const gen::PaperExample ex = parallel_arc_example();
+  for (const auto kernel : {AnalysisKernel::Fast, AnalysisKernel::Reference}) {
+    for (const auto variant : {gen::Figure4Variant::A, gen::Figure4Variant::B}) {
+      SystemConfig cfg = gen::make_figure4_config(ex, variant);
+      McsOptions options;
+      options.analysis.kernel = kernel;
+      const McsResult r = multi_cluster_scheduling(ex.app, ex.platform, cfg, options);
+      // Variant B runs the S1 slot first: everything after P1 moves 20 earlier.
+      const util::Time d = variant == gen::Figure4Variant::A ? 0 : -20;
+      const auto& a = r.analysis;
+      EXPECT_TRUE(r.converged);
+      EXPECT_EQ(r.iterations, 3);
+      EXPECT_EQ(a.outer_iterations, 3);
+      EXPECT_EQ(a.process_offsets, (V{0, 80 + d, 80 + d, 220 + d, 100 + d, 250 + d, 125 + d}));
+      EXPECT_EQ(a.process_jitter, (V{0, 15, 25, 0, 25, 0, 55}));
+      EXPECT_EQ(a.process_response, (V{30, 55, 45, 30, 60, 10, 60}));
+      EXPECT_EQ(a.message_offsets, (V{80 + d, 80 + d, 80 + d, 80 + d, 0, 100 + d}));
+      EXPECT_EQ(a.message_jitter, (V{5, 5, 55, 0, 0, 60}));
+      EXPECT_EQ(a.message_response, (V{15, 25, 140, 45, 30, 80}));
+      EXPECT_EQ(a.message_delivery, (V{95 + d, 105 + d, 220 + d, 125 + d, 30, 180 + d}));
+      EXPECT_EQ(a.graph_response, (V{260 + d}));
+      EXPECT_EQ(r.schedule.process_start, (V{0, 0, 0, 220 + d, 0, 250 + d, 0}));
+    }
+
+    // Without an S1 slot, P1's messages are never placed: their offsets
+    // stay 0 while their deliveries hit the cap.  Here the two rules part:
+    // pass 1 ignores the dependency P1 -> P2 beside m1, so P2 is released
+    // at 0 (keeping the dependency would release it at P1's finish, 30).
+    SystemConfig cfg(ex.app,
+                     arch::TdmaRound({arch::Slot{ex.ng, 20}}, ex.platform.ttp()));
+    McsOptions options;
+    options.analysis.kernel = kernel;
+    const McsResult r = multi_cluster_scheduling(ex.app, ex.platform, cfg, options);
+    const auto& a = r.analysis;
+    EXPECT_FALSE(r.converged);
+    EXPECT_FALSE(r.schedule.feasible);
+    EXPECT_EQ(r.iterations, 3);
+    EXPECT_EQ(a.outer_iterations, 2);
+    EXPECT_EQ(a.diverged_activities, kernel == AnalysisKernel::Fast ? 35 : 38);
+    EXPECT_EQ(a.process_offsets, (V{0, 0, 0, 1200, 20, 1200, 45}));
+    EXPECT_EQ(a.process_jitter, (V{0, 1200, 1200, 0, 1180, 0, 1155}));
+    EXPECT_EQ(a.process_response, (V{30, 1200, 1200, 30, 1200, 10, 1160}));
+    EXPECT_EQ(a.message_offsets, (V{0, 0, 0, 0, 0, 20}));
+    EXPECT_EQ(a.message_delivery, (V{1200, 1200, 1200, 1200, 30, 1200}));
+    EXPECT_EQ(a.graph_response, (V{1230}));
+    EXPECT_EQ(r.schedule.process_start, (V{0, 0, 0, 1200, 0, 1230, 0}));
+  }
+}
+
 TEST(AnalysisWorkspace, RejectsMismatchedSystem) {
   const auto ex = gen::make_paper_example();
   const auto other = gen::generate(small_system(7));
@@ -165,6 +321,15 @@ TEST(AnalysisWorkspace, RejectsMismatchedSystem) {
   input.platform = &ex.platform;
   input.config = &cfg;
   EXPECT_THROW((void)response_time_analysis(input, ws), std::invalid_argument);
+}
+
+TEST(AnalysisWorkspace, HopaRejectsMismatchedSystem) {
+  const auto ex = gen::make_paper_example();
+  const auto other = gen::generate(small_system(7));
+  AnalysisWorkspace ws(other.app, other.platform);
+  const SystemConfig cfg = gen::make_figure4_config(ex, gen::Figure4Variant::A);
+  EXPECT_THROW((void)hopa_priorities(ex.app, ex.platform, cfg.tdma(), ws),
+               std::invalid_argument);
 }
 
 TEST(EvaluationCache, MemoizedEvaluationEqualsRecomputed) {

@@ -76,6 +76,66 @@ TEST(ProcessGraph, LongestPaths) {
   EXPECT_EQ(at(from, f.d), 5);
 }
 
+/// Two graphs whose process ids interleave (G1: 0, 2, 4, 6, 7; G2: 1, 3,
+/// 5), with arcs against id order and a parallel arc (message plus
+/// dependency) A3 -> A1:
+///   G1: A2 -> A0, A4 -> A0, A2 -> A3, A0 -> A1, A3 => A1
+///   G2: B2 -> B1 -> B0
+struct Interleaved {
+  Application app;
+  GraphId g1, g2;
+  ProcessId a0, b0, a1, b1, a2, b2, a3, a4;
+
+  Interleaved() {
+    g1 = app.add_graph("G1", 100, 100);
+    g2 = app.add_graph("G2", 50, 50);
+    a0 = app.add_process(g1, "A0", NodeId(0), 3);
+    b0 = app.add_process(g2, "B0", NodeId(0), 4);
+    a1 = app.add_process(g1, "A1", NodeId(0), 7);
+    b1 = app.add_process(g2, "B1", NodeId(0), 1);
+    a2 = app.add_process(g1, "A2", NodeId(0), 2);
+    b2 = app.add_process(g2, "B2", NodeId(0), 6);
+    a3 = app.add_process(g1, "A3", NodeId(1), 11);
+    a4 = app.add_process(g1, "A4", NodeId(0), 5);
+    app.add_dependency(a2, a0);
+    app.add_dependency(a4, a0);
+    app.add_dependency(a2, a3);
+    app.add_dependency(a0, a1);
+    (void)app.add_message(a3, a1, 4);
+    app.add_dependency(a3, a1);
+    app.add_dependency(b2, b1);
+    app.add_dependency(b1, b0);
+  }
+};
+
+TEST(ProcessGraph, TopologicalOrderOfInterleavedGraphs) {
+  Interleaved f;
+  // Sources by ascending id, then FIFO (Kahn).
+  EXPECT_EQ(topological_order(f.app, f.g1),
+            (std::vector<ProcessId>{f.a2, f.a4, f.a3, f.a0, f.a1}));
+  EXPECT_EQ(topological_order(f.app, f.g2),
+            (std::vector<ProcessId>{f.b2, f.b1, f.b0}));
+}
+
+TEST(ProcessGraph, LongestPathsOfInterleavedGraphs) {
+  Interleaved f;
+  // Per-graph forms, in graph order (G1: A0 A1 A2 A3 A4; G2: B0 B1 B2).
+  EXPECT_EQ(longest_path_to(f.app, f.g1), (std::vector<util::Time>{8, 20, 2, 13, 5}));
+  EXPECT_EQ(longest_path_from(f.app, f.g1),
+            (std::vector<util::Time>{10, 7, 20, 18, 15}));
+  EXPECT_EQ(longest_path_to(f.app, f.g2), (std::vector<util::Time>{11, 7, 6}));
+  EXPECT_EQ(longest_path_from(f.app, f.g2), (std::vector<util::Time>{4, 5, 11}));
+
+  // Dense forms write only the given graph's entries, by ProcessId.
+  std::vector<util::Time> to(f.app.num_processes(), -1);
+  std::vector<util::Time> from(f.app.num_processes(), -1);
+  const auto order = topological_order(f.app, f.g1);
+  longest_path_to(f.app, order, to);
+  longest_path_from(f.app, order, from);
+  EXPECT_EQ(to, (std::vector<util::Time>{8, -1, 20, -1, 2, -1, 13, 5}));
+  EXPECT_EQ(from, (std::vector<util::Time>{10, -1, 7, -1, 20, -1, 18, 15}));
+}
+
 TEST(ProcessGraph, Reaches) {
   Diamond f;
   EXPECT_TRUE(reaches(f.app, f.a, f.d));

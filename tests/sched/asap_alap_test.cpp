@@ -80,6 +80,9 @@ TEST(AsapAlap, ArityMismatchThrows) {
   const std::vector<util::Time> wrong(1, 0);
   EXPECT_THROW((void)mobility_windows(ex.app, ex.platform, wrong),
                std::invalid_argument);
+  // The precomputed-order form also rejects a missing graph order.
+  const std::vector<util::Time> latency(ex.app.num_messages(), 0);
+  EXPECT_THROW((void)mobility_windows(ex.app, {}, latency), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 #include "mcs/gen/paper_example.hpp"
 
 namespace mcs::sched {
@@ -142,6 +146,152 @@ TEST(ListScheduler, NodeWithoutSlotIsInfeasible) {
   EXPECT_NE(s.problems.front().find("owns no TDMA slot"), std::string::npos);
 }
 
+TEST(ListScheduler, EqualCriticalPathsRunInIdOrder) {
+  arch::Platform pf(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const auto n1 = pf.add_tt_node("N1");
+  model::Application app;
+  const auto g = app.add_graph("G", 200, 200);
+  // Five independent processes with one critical-path length: every one
+  // is ready at time 0, and the lower id must always go first.
+  for (int i = 0; i < 5; ++i) (void)app.add_process(g, "P" + std::to_string(i), n1, 10);
+  const arch::TdmaRound round({arch::Slot{n1, 10}}, pf.ttp());
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  EXPECT_EQ(s.process_start, (std::vector<Time>{0, 10, 20, 30, 40}));
+}
+
+TEST(ListScheduler, EqualCriticalPathsReleasedLaterStillRunInIdOrder) {
+  arch::Platform pf(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const auto n1 = pf.add_tt_node("N1");
+  model::Application app;
+  const auto g = app.add_graph("G", 200, 200);
+  // H heads two equal-length tails; the higher-id tail joins the ready
+  // set first (it is the first successor arc) but must run second.
+  const auto head = app.add_process(g, "H", n1, 10);
+  const auto low = app.add_process(g, "L", n1, 20);
+  const auto high = app.add_process(g, "X", n1, 20);
+  app.add_dependency(head, high);
+  app.add_dependency(head, low);
+  const arch::TdmaRound round({arch::Slot{n1, 10}}, pf.ttp());
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  EXPECT_EQ(s.process_start[head.index()], 0);
+  EXPECT_EQ(s.process_start[low.index()], 10);
+  EXPECT_EQ(s.process_start[high.index()], 30);
+}
+
+TEST(ListScheduler, ParallelArcsOnOneNodeReleaseTheSuccessorOnce) {
+  arch::Platform pf(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const auto n1 = pf.add_tt_node("N1");
+  model::Application app;
+  const auto g = app.add_graph("G", 200, 200);
+  const auto a = app.add_process(g, "A", n1, 10);
+  const auto b = app.add_process(g, "B", n1, 10);
+  const auto c = app.add_process(g, "C", n1, 5);
+  // A -> B twice: a same-node message plus an explicit dependency.  B
+  // outranks the independent C once ready, so it runs right after A.
+  (void)app.add_message(a, b, 4, "m");
+  app.add_dependency(a, b);
+  const arch::TdmaRound round({arch::Slot{n1, 10}}, pf.ttp());
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  ASSERT_TRUE(s.feasible) << (s.problems.empty() ? "" : s.problems.front());
+  EXPECT_TRUE(s.problems.empty());
+  EXPECT_EQ(s.process_start[a.index()], 0);
+  EXPECT_EQ(s.process_start[b.index()], 10);
+  EXPECT_EQ(s.process_start[c.index()], 20);
+  EXPECT_EQ(s.makespan, 25);
+  EXPECT_FALSE(s.message_slot[0].has_value());  // local: never on the bus
+}
+
+TEST(ListScheduler, ParallelArcsOverTtpWaitForTheDelivery) {
+  arch::Platform pf(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const auto n1 = pf.add_tt_node("N1");
+  const auto n2 = pf.add_tt_node("N2");
+  model::Application app;
+  const auto g = app.add_graph("G", 400, 400);
+  const auto a = app.add_process(g, "A", n1, 5);
+  const auto b = app.add_process(g, "B", n2, 5);
+  // A -> B as a TTP message plus an explicit dependency.  The dependency
+  // alone would release B at 5; the message is delivered at the end of
+  // N1's first slot ([10, 20)).
+  (void)app.add_message(a, b, 4, "m");
+  app.add_dependency(a, b);
+  const arch::TdmaRound round({arch::Slot{n2, 10}, arch::Slot{n1, 10}}, pf.ttp());
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  ASSERT_TRUE(s.feasible) << (s.problems.empty() ? "" : s.problems.front());
+  const auto& m = s.message_slot[0];
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->tx_start, 10);
+  EXPECT_EQ(m->delivery, 20);
+  EXPECT_EQ(s.process_start[a.index()], 0);
+  EXPECT_EQ(s.process_start[b.index()], 20);
+  EXPECT_EQ(s.makespan, 25);
+}
+
+TEST(ListScheduler, ParallelArcFromNodeWithoutSlotLeavesReceiverUnscheduled) {
+  arch::Platform pf(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const auto n1 = pf.add_tt_node("N1");
+  const auto n2 = pf.add_tt_node("N2");
+  model::Application app;
+  const auto g = app.add_graph("G", 100, 100);
+  const auto a = app.add_process(g, "A", n1, 5);
+  const auto b = app.add_process(g, "B", n2, 5);
+  (void)app.add_message(a, b, 4, "m");
+  app.add_dependency(a, b);
+  // Only N2 owns a slot: the message arc stays unresolved even though the
+  // dependency arc resolves, so B never becomes ready.
+  const arch::TdmaRound round({arch::Slot{n2, 10}}, pf.ttp());
+  const auto s = list_schedule(app, pf, round, ScheduleConstraints::none(app));
+  EXPECT_FALSE(s.feasible);
+  EXPECT_EQ(s.problems,
+            (std::vector<std::string>{
+                "node 'N1' sends message 'm' but owns no TDMA slot",
+                "list_schedule: not all TT processes could be scheduled "
+                "(dependency cycle?)"}));
+  EXPECT_EQ(s.process_start[a.index()], 0);
+  EXPECT_EQ(s.process_start[b.index()], 0);  // never placed
+  EXPECT_FALSE(s.message_slot[0].has_value());
+  EXPECT_EQ(s.makespan, 5);
+}
+
+TEST(ListScheduler, PlanOverloadRejectsAnotherApplication) {
+  const auto ex = gen::make_paper_example();
+  model::Application other;
+  const auto g = other.add_graph("G", 100, 100);
+  (void)other.add_process(g, "A", ex.n1, 5);
+  const ListSchedulePlan plan(other, ex.platform);
+  ListScheduleScratch scratch;
+  const auto cfg = gen::make_figure4_config(ex, Figure4Variant::A);
+  EXPECT_THROW((void)list_schedule(ex.app, ex.platform, cfg.tdma(),
+                                   ScheduleConstraints::none(ex.app), plan, scratch),
+               std::invalid_argument);
+}
+
+TEST(ListSchedulePlan, PureSuccessorsStrikeOneArcPerMessage) {
+  arch::Platform pf(arch::TtpBusParams{1, 0}, arch::CanBusParams::linear(10, 0));
+  const auto n1 = pf.add_tt_node("N1");
+  const auto e1 = pf.add_et_node("E1");
+  model::Application app;
+  const auto g = app.add_graph("G", 100, 100);
+  const auto a = app.add_process(g, "A", n1, 5);
+  const auto b = app.add_process(g, "B", n1, 5);
+  const auto c = app.add_process(g, "C", e1, 5);
+  app.add_dependency(a, b);
+  (void)app.add_message(a, b, 4);
+  app.add_dependency(a, b);
+  (void)app.add_message(a, c, 4);
+  const ListSchedulePlan plan(app, pf);
+  // Successors of A: B, B, B, C; messages strike one B and the C.
+  const auto pure = plan.pure_successors(a);
+  EXPECT_EQ(std::vector<util::ProcessId>(pure.begin(), pure.end()),
+            (std::vector<util::ProcessId>{b, b}));
+  EXPECT_TRUE(plan.pure_successors(b).empty());
+  EXPECT_TRUE(plan.is_tt(a));
+  EXPECT_FALSE(plan.is_tt(c));
+  EXPECT_EQ(plan.tt_predecessors(b), 3u);
+  EXPECT_EQ(plan.tt_predecessors(c), 0u);  // ET: never list-scheduled
+  EXPECT_EQ(plan.tt_count(), 2u);
+  EXPECT_EQ(plan.critical_path()[a.index()], 10);
+}
+
 TEST(RecommendedSlotLengths, CoversSingleAndPackedSizes) {
   const auto ex = gen::make_paper_example();
   const auto lengths = recommended_slot_lengths(ex.app, ex.platform, ex.n1);
@@ -154,6 +304,25 @@ TEST(RecommendedSlotLengths, CoversSingleAndPackedSizes) {
   // A node that sends nothing gets the minimal slot.
   const auto silent = recommended_slot_lengths(ex.app, ex.platform, ex.n2);
   EXPECT_EQ(silent.size(), 1u);
+}
+
+TEST(RecommendedSlotLengths, OneCandidateKeepsTheLargest) {
+  const auto ex = gen::make_paper_example();
+  const auto all = recommended_slot_lengths(ex.app, ex.platform, ex.n1);
+  ASSERT_GE(all.size(), 2u);
+  EXPECT_EQ(recommended_slot_lengths(ex.app, ex.platform, ex.n1, 1),
+            (std::vector<Time>{all.back()}));
+  // Two keeps both ends of the spread.
+  EXPECT_EQ(recommended_slot_lengths(ex.app, ex.platform, ex.n1, 2),
+            (std::vector<Time>{all.front(), all.back()}));
+}
+
+TEST(RecommendedSlotLengths, ZeroCandidatesThrows) {
+  const auto ex = gen::make_paper_example();
+  EXPECT_THROW((void)recommended_slot_lengths(ex.app, ex.platform, ex.n1, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)recommended_slot_lengths(ex.app, ex.platform, ex.n2, 0),
+               std::invalid_argument);
 }
 
 }  // namespace
