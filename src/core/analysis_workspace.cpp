@@ -216,7 +216,6 @@ void AnalysisWorkspace::build() {
   kernel_scratch_.r.resize(max_pool);
   kernel_scratch_.d.resize(max_pool);
   kernel_scratch_.prio.resize(max_pool);
-  kernel_scratch_.vis.resize(max_pool);
   // Lanes: the largest candidate list rounded up to a full padding block
   // (padding lanes contribute 0 by construction).
   const std::size_t lanes =
@@ -282,48 +281,9 @@ void AnalysisWorkspace::build() {
     can_cand_cache_.blk_len.resize(n);
   }
 
-  // Intra-run fixed-point skip bookkeeping: per-process last-seen pass-2
-  // inputs and output-change flags, per-pool validity (see the pass-2
-  // kernel; invalidated at the start of every analysis run).
-  const std::size_t np = app.num_processes();
-  intra_o_.resize(np);
-  intra_e_.resize(np);
-  intra_j_.resize(np);
-  intra_r_.resize(np);
-  intra_flags_.resize(np);
-  intra_pool_valid_.resize(proc_pools_.size());
-  const std::size_t nm = app.num_messages();
-  intra_m_o_.resize(nm);
-  intra_m_e_.resize(nm);
-  intra_m_j_.resize(nm);
-  intra_m_w_.resize(nm);
-  intra_m_d_.resize(nm);
-  intra_m_r_.resize(nm);
-  intra_m_flags_.resize(nm);
-  intra_t_o_.resize(nm);
-  intra_t_e_.resize(nm);
-  intra_t_j_.resize(nm);
-  intra_t_w_.resize(nm);
-  intra_t_r_.resize(nm);
-  intra_t_d_.resize(nm);
-  intra_t_i_.resize(nm);
-  intra_t_wait_.resize(nm);
-
-  // Pass-1 per-graph activity (propagate skip) plus the member -> graph
-  // maps the passes use to re-arm a graph when they change its state.
-  p1_active_.assign(app.num_graphs(), std::uint8_t{1});
-  proc_graph_.resize(np);
-  for (std::size_t i = 0; i < np; ++i) {
-    proc_graph_[i] = static_cast<std::uint32_t>(
-        app.process(ProcessId(static_cast<ProcessId::underlying_type>(i)))
-            .graph.index());
-  }
-  msg_graph_.resize(nm);
-  for (std::size_t i = 0; i < nm; ++i) {
-    msg_graph_[i] = static_cast<std::uint32_t>(
-        app.message(MessageId(static_cast<MessageId::underlying_type>(i)))
-            .graph.index());
-  }
+  // One record per node pool for the intra-run skip (the kernel sizes
+  // each tuple on its first run).
+  pool_records_.resize(proc_pools_.size());
 }
 
 AnalysisWorkspace::State& AnalysisWorkspace::reset_state() {
@@ -342,6 +302,9 @@ AnalysisWorkspace::State& AnalysisWorkspace::reset_state() {
   state_.d_m.assign(nm, 0);
   state_.ttp_wait.assign(nm, 0);
   state_.i_m.assign(nm, 0);
+  for (ComponentRecord& r : pool_records_) r.quiet = false;
+  can_record_.quiet = false;
+  fifo_record_.quiet = false;
   return state_;
 }
 

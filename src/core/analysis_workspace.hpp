@@ -28,7 +28,12 @@
 //
 // The workspace additionally owns the fixed-point State buffers (13
 // vectors over processes/messages) which are RESET, not reallocated, on
-// every analysis call, and scratch vectors for the buffer-bound pass.
+// every analysis call, the Fast kernel's gather scratch and candidate-list
+// caches, and one ComponentRecord per recurrence component (each node
+// pool, the CAN bus, the OutTTP FIFO).  The records carry the Fast
+// kernel's only intra-run skip: a component whose previous run in the
+// call changed nothing and counted no divergence, and whose members'
+// state is still what that run left, is not run again.
 //
 // Delta mode (DESIGN.md §2): when `delta_mode()` is On, the
 // MultiClusterScheduling overload taking a workspace records each run's
@@ -86,8 +91,8 @@ struct DeltaStats {
   std::uint64_t elided_iterations = 0;    ///< provably-redundant MCS iterations
   std::uint64_t cand_cache_hits = 0;      ///< candidate lists reused as-is
   std::uint64_t cand_cache_rebuilds = 0;  ///< kernel calls that (re)built lists
-  std::uint64_t intra_skips = 0;          ///< members at a confirmed fixed point
-  std::uint64_t p1_graph_skips = 0;       ///< pass-1 sweeps elided for quiescent graphs
+  /// Members of the components skipped at a confirmed fixed point.
+  std::uint64_t intra_skips = 0;
 };
 
 class AnalysisWorkspace {
@@ -242,10 +247,6 @@ public:
 
     util::AlignedVec<util::Time> o, e, j, w, r, d;
     util::AlignedVec<Priority> prio;
-    /// Pool-local "visibly changed since the previous pass" flags of the
-    /// intra-run fixed-point skip (inputs changed this pass, or outputs
-    /// changed during the previous pass).
-    util::AlignedVec<std::uint8_t> vis;
     /// Lane arrays of the ceiling-sum: per surviving candidate the
     /// w-independent addend a = J_i + J_j - phase_j, the preemption cost,
     /// and the magic-division constants of its period.  All lane math is
@@ -261,93 +262,28 @@ public:
              (lane_a.capacity() + lane_cost.capacity() + lane_mul.capacity() +
               lane_sh.capacity()) *
                  sizeof(std::uint64_t) +
-             prio.capacity() * sizeof(Priority) + vis.capacity();
+             prio.capacity() * sizeof(Priority);
     }
   };
   [[nodiscard]] KernelScratch& kernel_scratch() noexcept { return kernel_scratch_; }
 
-  // --- intra-run fixed-point skip bookkeeping (Fast pass-2 kernel) ------
-  // Per-process values {o,e,j,r} as last seen by pass 2 within the current
-  // analysis run, plus a flags byte (bit0 = outputs changed during the
-  // previous pass, bit1 = outputs changed during the current pass).  A
-  // member whose own inputs and whole candidate read set are unchanged
-  // since the previous pass is already at its fixed point: recomputing
-  // would evaluate the ceiling-sum once, observe next <= w, and keep w —
-  // so the kernel skips the gather entirely.  Valid per pool only after
-  // the Fast kernel has run a full bookkeeping pass in this analysis run.
-  [[nodiscard]] std::vector<util::Time>& intra_o() noexcept { return intra_o_; }
-  [[nodiscard]] std::vector<util::Time>& intra_e() noexcept { return intra_e_; }
-  [[nodiscard]] std::vector<util::Time>& intra_j() noexcept { return intra_j_; }
-  [[nodiscard]] std::vector<util::Time>& intra_r() noexcept { return intra_r_; }
-  [[nodiscard]] std::vector<std::uint8_t>& intra_flags() noexcept {
-    return intra_flags_;
+  // --- the Fast kernel's intra-run skip (DESIGN.md §2) -----------------
+  /// What the last run of one component — a pass-2 node pool, the pass-3
+  /// CAN bus or the pass-4 OutTTP FIFO — left behind in the current
+  /// analysis call: the members' state tuple it started from (field-major)
+  /// and whether that run was quiet, i.e. changed no value of the tuple
+  /// and counted no divergence.  A component whose record is quiet and
+  /// whose tuple still equals `snap` is at its fixed point and is skipped.
+  /// reset_state() clears every `quiet`.
+  struct ComponentRecord {
+    bool quiet = false;
+    std::vector<util::Time> snap;
+  };
+  [[nodiscard]] ComponentRecord& pool_record(std::size_t pool) noexcept {
+    return pool_records_[pool];
   }
-  [[nodiscard]] std::uint8_t& intra_pool_valid(std::size_t pool) noexcept {
-    return intra_pool_valid_[pool];
-  }
-  // Same bookkeeping for the CAN pool (pass 3): per-message last-seen
-  // values — w/d/r are legitimate entry inputs there (w seeds the
-  // recurrence, d feeds the window predicates of every reader, r is
-  // raised by pass 1 and feeds the member's own d raise).
-  [[nodiscard]] std::vector<util::Time>& intra_m_o() noexcept { return intra_m_o_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_e() noexcept { return intra_m_e_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_j() noexcept { return intra_m_j_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_w() noexcept { return intra_m_w_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_d() noexcept { return intra_m_d_; }
-  [[nodiscard]] std::vector<util::Time>& intra_m_r() noexcept { return intra_m_r_; }
-  [[nodiscard]] std::vector<std::uint8_t>& intra_m_flags() noexcept {
-    return intra_m_flags_;
-  }
-  [[nodiscard]] std::uint8_t& intra_can_valid() noexcept {
-    return intra_can_valid_;
-  }
-  // Intra-run quiescence bookkeeping for the pass-4 FIFO drain: last-seen
-  // values of every field the drain reads or writes.  The interference
-  // predicate only examines OTHER ET->TT members, so the read set is
-  // confined to the ET->TT member fields themselves — if none of them
-  // moved since the previous drain of this run, and that drain changed
-  // nothing and attempted no over-cap raise, re-running it is a no-op.
-  [[nodiscard]] std::vector<util::Time>& intra_t_o() noexcept { return intra_t_o_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_e() noexcept { return intra_t_e_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_j() noexcept { return intra_t_j_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_w() noexcept { return intra_t_w_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_r() noexcept { return intra_t_r_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_d() noexcept { return intra_t_d_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_i() noexcept { return intra_t_i_; }
-  [[nodiscard]] std::vector<util::Time>& intra_t_wait() noexcept {
-    return intra_t_wait_;
-  }
-  /// bit0: the stored values are from this run; bit1: the last drain was
-  /// change-free and divergence-free (both required to skip).
-  [[nodiscard]] std::uint8_t& intra_ttp_state() noexcept {
-    return intra_ttp_state_;
-  }
-
-  // Per-graph pass-1 activity bytes: propagate sweeps a graph only while
-  // its byte is set.  The byte clears when a sweep fires no raise and no
-  // divergence attempt (such a sweep is provably a no-op next pass: every
-  // write is either an idempotent schedule-constant assign or a raise
-  // whose target is a deterministic function of the sweep-order state,
-  // and the model forbids cross-graph arcs), and re-arms whenever passes
-  // 2-4 change any value of a member of the graph.
-  [[nodiscard]] std::vector<std::uint8_t>& p1_active() noexcept {
-    return p1_active_;
-  }
-  /// Graph index of each process / message (dense, built once).
-  [[nodiscard]] const std::vector<std::uint32_t>& proc_graph() const noexcept {
-    return proc_graph_;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>& msg_graph() const noexcept {
-    return msg_graph_;
-  }
-  /// Invalidates all per-pool intra-run bookkeeping (start of every run).
-  void reset_intra() noexcept {
-    std::fill(intra_pool_valid_.begin(), intra_pool_valid_.end(),
-              std::uint8_t{0});
-    intra_can_valid_ = 0;
-    intra_ttp_state_ = 0;
-    std::fill(p1_active_.begin(), p1_active_.end(), std::uint8_t{1});
-  }
+  [[nodiscard]] ComponentRecord& can_record() noexcept { return can_record_; }
+  [[nodiscard]] ComponentRecord& fifo_record() noexcept { return fifo_record_; }
 
   /// Cached priority-compacted candidate lists, reused across evaluations.
   /// The static candidate relation of a pool member depends only on the
@@ -381,11 +317,14 @@ public:
     return can_cand_cache_;
   }
 
-  /// Scratch + candidate-cache heap footprint (memory-stability tests).
+  /// Scratch, candidate-cache and component-record heap footprint
+  /// (memory-stability tests).
   [[nodiscard]] std::size_t scratch_footprint_bytes() const noexcept {
     std::size_t total = kernel_scratch_.footprint_bytes();
     for (const CandidateCache& c : proc_cand_cache_) total += c.footprint_bytes();
-    return total + can_cand_cache_.footprint_bytes();
+    std::size_t snaps = can_record_.snap.capacity() + fifo_record_.snap.capacity();
+    for (const ComponentRecord& r : pool_records_) snaps += r.snap.capacity();
+    return total + can_cand_cache_.footprint_bytes() + snaps * sizeof(util::Time);
   }
 
   /// The kernel that actually runs when `requested` is asked for.  The
@@ -411,7 +350,8 @@ public:
   };
 
   /// Zeroes the state (std::vector::assign keeps capacity: no allocation
-  /// after the first call) and returns it.
+  /// after the first call), forgets every component record's quiet flag,
+  /// and returns the state.
   [[nodiscard]] State& reset_state();
 
   // --- delta-mode schedule memo ---------------------------------------
@@ -518,18 +458,9 @@ private:
   CandidateCache can_cand_cache_;
   bool periods_encodable_ = false;
 
-  std::vector<util::Time> intra_o_, intra_e_, intra_j_, intra_r_;
-  std::vector<std::uint8_t> intra_flags_;
-  std::vector<std::uint8_t> intra_pool_valid_;
-  std::vector<util::Time> intra_m_o_, intra_m_e_, intra_m_j_, intra_m_w_,
-      intra_m_d_, intra_m_r_;
-  std::vector<std::uint8_t> intra_m_flags_;
-  std::uint8_t intra_can_valid_ = 0;
-  std::vector<util::Time> intra_t_o_, intra_t_e_, intra_t_j_, intra_t_w_,
-      intra_t_r_, intra_t_d_, intra_t_i_, intra_t_wait_;
-  std::uint8_t intra_ttp_state_ = 0;
-  std::vector<std::uint8_t> p1_active_;
-  std::vector<std::uint32_t> proc_graph_, msg_graph_;
+  std::vector<ComponentRecord> pool_records_;
+  ComponentRecord can_record_;
+  ComponentRecord fifo_record_;
 
   State state_;
 

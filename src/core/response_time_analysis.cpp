@@ -1,7 +1,7 @@
 #include "mcs/core/response_time_analysis.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -211,31 +211,9 @@ void raise(Ctx& ctx, Time& slot, Time value) {
 /// Topological order guarantees every predecessor's current (monotone)
 /// values are available.  TT quantities are pinned by the schedule; ET
 /// quantities derive from their inputs.
-///
-/// Per-graph skip: the model forbids cross-graph messages and precedence
-/// arcs, so a graph's sweep reads only its own members plus per-run
-/// schedule constants.  A sweep that fired no raise and attempted no
-/// over-cap value is therefore a guaranteed no-op on the next pass
-/// (plain assigns write schedule constants and are consumed downstream
-/// within the same sweep), UNLESS passes 2-4 changed one of the graph's
-/// members in between — those paths re-arm the graph's activity byte.
 void propagate(Ctx& ctx, State& s) {
   const Application& app = ctx.app;
-  // Only the Fast kernel maintains the re-arm bookkeeping (change flags
-  // at writeback); the reference path writes state without tracking, so
-  // it always sweeps fully — which also keeps the differential oracle's
-  // reference side trivially exact.
-  const bool allow_skip = ctx.eff_kernel == AnalysisKernel::Fast;
-  std::uint8_t* active = ctx.ws.p1_active().data();
-  for (std::size_t gi = 0; gi < ctx.topo.size(); ++gi) {
-    if (allow_skip && active[gi] == 0) {
-      ++ctx.ws.delta_stats().p1_graph_skips;
-      continue;
-    }
-    const bool outer_changed = ctx.changed;
-    const int div_before = ctx.diverged;
-    ctx.changed = false;
-    const auto& order = ctx.topo[gi];
+  for (const auto& order : ctx.topo) {
     for (const ProcessId pid : order) {
       const Process& p = app.process(pid);
       const bool tt = ctx.platform.is_tt(p.node);
@@ -345,13 +323,50 @@ void propagate(Ctx& ctx, State& s) {
         }
       }
     }
-    // Quiescent iff nothing moved AND nothing re-attempted an over-cap
-    // raise (the divergence count must keep growing while a member sits
-    // at the cap, so such graphs keep sweeping).
-    active[gi] = (ctx.changed || ctx.diverged != div_before) ? std::uint8_t{1}
-                                                            : std::uint8_t{0};
-    ctx.changed = ctx.changed || outer_changed;
   }
+}
+
+/// ---- The intra-run skip (Fast kernel only) ------------------------------
+///
+/// A component is one recurrence an outer pass re-solves: an ETC node's
+/// process pool (pass 2), the CAN bus (pass 3) or the OutTTP FIFO (pass
+/// 4).  Within one analysis call a component run is a deterministic
+/// function of its members' state tuple (`fields` over `members`) plus
+/// run constants — priorities, TDMA round, TTC schedule, cap, options,
+/// workspace statics — and it writes only inside that tuple.  So once a
+/// run left the tuple as it found it and counted no divergence, running
+/// the component again on the same tuple repeats that no-op: it is
+/// skipped until some other pass moves one of its members.  The record's
+/// snap holds the tuple the component's last run started from.
+/// Reference never skips and stays the oracle.
+template <typename Id, typename Run>
+void run_component(Ctx& ctx, AnalysisWorkspace::ComponentRecord& rec,
+                   const std::vector<Id>& members,
+                   std::initializer_list<const std::vector<Time>*> fields,
+                   const Run& run) {
+  const std::size_t n = members.size();
+  rec.snap.resize(fields.size() * n);  // sized on the first run only
+  Time* snap = rec.snap.data();
+  const auto tuple_is_snap = [&] {
+    const Time* t = snap;
+    for (const std::vector<Time>* f : fields) {
+      for (std::size_t x = 0; x < n; ++x, ++t) {
+        if ((*f)[members[x].index()] != *t) return false;
+      }
+    }
+    return true;
+  };
+  if (rec.quiet && tuple_is_snap()) {
+    ctx.ws.delta_stats().intra_skips += n;
+    return;
+  }
+  Time* t = snap;
+  for (const std::vector<Time>* f : fields) {
+    for (std::size_t x = 0; x < n; ++x, ++t) *t = (*f)[members[x].index()];
+  }
+  const int diverged = ctx.diverged;
+  run();
+  rec.quiet = ctx.diverged == diverged && tuple_is_snap();
 }
 
 /// ---- Pass 2: fixed-priority preemptive interference on each ETC node --
@@ -466,34 +481,6 @@ void refresh_candidates(Ctx& ctx, AnalysisWorkspace::CandidateCache& cc,
 void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool,
                      std::size_t pool_index) {
   const std::size_t n = pool.pids.size();
-  constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
-  // Whole-pool fast path: when every member's pass-1 inputs are unchanged
-  // since the previous pass of this run, no member's outputs changed
-  // during that pass (kOutPrev clear pool-wide), and no member sits at
-  // the divergence cap, then every member takes the per-member skip below
-  // — all read sets live inside the pool — so the scratch fill, cache
-  // refresh, and writeback are no-ops and the whole body can be elided.
-  // Flags need no rolling: all-quiet implies they are already zero.
-  // Priorities cannot have changed mid-run (they are per-candidate
-  // constants), so the candidate cache is untouched and still valid.
-  if (ctx.ws.intra_pool_valid(pool_index) != 0) {
-    const std::uint8_t* intra = ctx.ws.intra_flags().data();
-    const Time* ipo = ctx.ws.intra_o().data();
-    const Time* ipe = ctx.ws.intra_e().data();
-    const Time* ipj = ctx.ws.intra_j().data();
-    const Time* ipr = ctx.ws.intra_r().data();
-    bool all_quiet = true;
-    for (std::size_t x = 0; x < n && all_quiet; ++x) {
-      const std::size_t pi = pool.pids[x].index();
-      all_quiet = s.o_p[pi] == ipo[pi] && s.e_p[pi] == ipe[pi] &&
-                  s.j_p[pi] == ipj[pi] && s.r_p[pi] == ipr[pi] &&
-                  intra[pi] == 0 && s.w_p[pi] != ctx.cap;
-    }
-    if (all_quiet) {
-      ctx.ws.delta_stats().intra_skips += n;
-      return;
-    }
-  }
   AnalysisWorkspace::KernelScratch& ps = ctx.ws.kernel_scratch();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
@@ -519,55 +506,8 @@ void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
     }
     cc.len[x] = len;
   });
-  // Intra-run fixed-point skip: a member whose own pass-1 inputs {o,e,j}
-  // are unchanged since the previous pass of THIS run, whose outputs did
-  // not change during the previous pass (the window-prune predicate reads
-  // the member's own w), and whose whole candidate read set is likewise
-  // quiescent, is already at its fixed point — recomputing would evaluate
-  // the ceiling-sum once with identical inputs, observe next <= w, and
-  // keep w with zero new divergences (guaranteed by w < cap, checked).
-  // `vis[x]` = inputs changed this pass OR outputs changed last pass;
-  // kCur marks outputs changed DURING this pass, set before any later
-  // pool-order member consults it, mirroring the Gauss-Seidel order of a
-  // full recompute.
-  std::uint8_t* intra = ctx.ws.intra_flags().data();
-  Time* ipo = ctx.ws.intra_o().data();
-  Time* ipe = ctx.ws.intra_e().data();
-  Time* ipj = ctx.ws.intra_j().data();
-  Time* ipr = ctx.ws.intra_r().data();
-  std::uint8_t& pool_valid = ctx.ws.intra_pool_valid(pool_index);
-  const bool intra_ok = pool_valid != 0;
-  util::AlignedVec<std::uint8_t>& vis = ps.vis;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    // r is both raised by pass 1 (jitter propagation) and read by the
-    // window-prune predicate of every reader, so it counts as an input.
-    const bool in_changed = !intra_ok || ps.o[x] != ipo[pi] ||
-                            ps.e[x] != ipe[pi] || ps.j[x] != ipj[pi] ||
-                            ps.r[x] != ipr[pi];
-    vis[x] = (in_changed || (intra[pi] & kOutPrev) != 0) ? 1 : 0;
-  }
-  // A member's candidate list is exactly the higher-priority pool members
-  // (the class filter only annotates entries), so "some candidate is
-  // dirty" collapses to one compare against the minimum priority seen
-  // among dirty members — pre-pass dirty (vis) plus, Gauss-Seidel style,
-  // members whose outputs changed earlier in THIS sweep (kOutCur).
-  Priority min_changed = std::numeric_limits<Priority>::max();
-  for (std::size_t x = 0; x < n; ++x) {
-    if (vis[x] != 0) min_changed = std::min(min_changed, ps.prio[x]);
-  }
-  DeltaStats& dstats = ctx.ws.delta_stats();
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t pi = pool.pids[x].index();
-    if (intra_ok && vis[x] == 0 && ps.w[x] != ctx.cap &&
-        min_changed >= ps.prio[x]) {
-      // No dirty candidate (all candidates have strictly lower priority
-      // values), own inputs and outputs quiet: a confirming recompute
-      // would change nothing and record no divergence.
-      ++dstats.intra_skips;
-      continue;
-    }
     const Time c_i = pool.wcet[x];
     const Time j_x = ps.j[x];
     const Time latest_x = ps.o[x] + j_x + std::max(ps.w[x], c_i);
@@ -637,42 +577,27 @@ void pass2_pool_fast(Ctx& ctx, State& s, const AnalysisWorkspace::ProcPool& pool
     }
     raise(ctx, ps.w[x], w);
     raise(ctx, ps.r[x], j_x + ps.w[x]);
-    if (ps.w[x] != s.w_p[pi] || ps.r[x] != s.r_p[pi]) {
-      intra[pi] |= kOutCur;
-      min_changed = std::min(min_changed, ps.prio[x]);
-    }
   }
-  std::uint8_t* p1_active = ctx.ws.p1_active().data();
-  const std::uint32_t* proc_graph = ctx.ws.proc_graph().data();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t pi = pool.pids[x].index();
     s.w_p[pi] = ps.w[x];
     s.r_p[pi] = ps.r[x];
-    // Roll the intra-run bookkeeping: this pass's inputs become the
-    // baseline, this pass's output-change bit becomes next pass's.
-    ipo[pi] = ps.o[x];
-    ipe[pi] = ps.e[x];
-    ipj[pi] = ps.j[x];
-    ipr[pi] = ps.r[x];
-    if ((intra[pi] & kOutCur) != 0) {
-      p1_active[proc_graph[pi]] = 1;  // re-arm pass 1 for this graph
-      intra[pi] = kOutPrev;
-    } else {
-      intra[pi] = 0;
-    }
   }
-  pool_valid = 1;
 }
 
-/// Pass-2 driver: dispatches every ETC node pool to the selected kernel.
+/// Pass-2 driver: every ETC node pool is one component on the selected
+/// kernel.
 void pass2(Ctx& ctx, State& s) {
   const std::vector<AnalysisWorkspace::ProcPool>& pools = ctx.ws.proc_pools();
   for (std::size_t pool_index = 0; pool_index < pools.size(); ++pool_index) {
-    if (ctx.eff_kernel == AnalysisKernel::Fast) {
-      pass2_pool_fast(ctx, s, pools[pool_index], pool_index);
-    } else {
-      pass2_pool_reference(ctx, s, pools[pool_index]);
+    const AnalysisWorkspace::ProcPool& pool = pools[pool_index];
+    if (ctx.eff_kernel != AnalysisKernel::Fast) {
+      pass2_pool_reference(ctx, s, pool);
+      continue;
     }
+    run_component(ctx, ctx.ws.pool_record(pool_index), pool.pids,
+                  {&s.o_p, &s.e_p, &s.j_p, &s.w_p, &s.r_p},
+                  [&] { pass2_pool_fast(ctx, s, pool, pool_index); });
   }
 }
 
@@ -727,31 +652,6 @@ void can_message_recurrences(Ctx& ctx, State& s) {
 void can_recurrences_fast(Ctx& ctx, State& s) {
   const AnalysisWorkspace::CanPool& cp = ctx.ws.can_pool();
   const std::size_t n = cp.mids.size();
-  constexpr std::uint8_t kOutPrev = 1, kOutCur = 2;
-  // Whole-bus fast path, mirroring pass2_pool_fast: all read sets (hp
-  // interference + lp blocking lists) live inside the bus pool, so a
-  // fully quiet pool skips every member and the body can be elided.
-  if (ctx.ws.intra_can_valid() != 0) {
-    const std::uint8_t* intra = ctx.ws.intra_m_flags().data();
-    const Time* imo = ctx.ws.intra_m_o().data();
-    const Time* ime = ctx.ws.intra_m_e().data();
-    const Time* imj = ctx.ws.intra_m_j().data();
-    const Time* imw = ctx.ws.intra_m_w().data();
-    const Time* imd = ctx.ws.intra_m_d().data();
-    const Time* imr = ctx.ws.intra_m_r().data();
-    bool all_quiet = true;
-    for (std::size_t x = 0; x < n && all_quiet; ++x) {
-      const std::size_t mi = cp.mids[x].index();
-      all_quiet = s.o_m[mi] == imo[mi] && s.e_m[mi] == ime[mi] &&
-                  s.j_m[mi] == imj[mi] && s.w_m[mi] == imw[mi] &&
-                  s.d_m[mi] == imd[mi] && s.r_m[mi] == imr[mi] &&
-                  intra[mi] == 0 && s.w_m[mi] != ctx.cap;
-    }
-    if (all_quiet) {
-      ctx.ws.delta_stats().intra_skips += n;
-      return;
-    }
-  }
   AnalysisWorkspace::KernelScratch& ps = ctx.ws.kernel_scratch();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
@@ -787,52 +687,11 @@ void can_recurrences_fast(Ctx& ctx, State& s) {
     cc.len[x] = len;
     cc.blk_len[x] = blen;
   });
-  // Intra-run fixed-point skip, mirroring pass 2: a message whose own
-  // entry values {o,e,j,w,d,r} are unchanged since the previous pass of
-  // this run and whose whole read set — hp interference candidates
-  // ({o,e,j,w,d}) AND lp blocking candidates ({e,d}) — is quiescent is
-  // already at its fixed point; recomputing would confirm next <= w with
-  // zero divergences (guaranteed by w < cap) and every raise would be a
-  // no-op.  r counts as an input because pass 1 raises it (sender r_p
-  // propagation) and the member's own d raise reads it.
-  std::uint8_t* intra = ctx.ws.intra_m_flags().data();
-  Time* imo = ctx.ws.intra_m_o().data();
-  Time* ime = ctx.ws.intra_m_e().data();
-  Time* imj = ctx.ws.intra_m_j().data();
-  Time* imw = ctx.ws.intra_m_w().data();
-  Time* imd = ctx.ws.intra_m_d().data();
-  Time* imr = ctx.ws.intra_m_r().data();
-  std::uint8_t& can_valid = ctx.ws.intra_can_valid();
-  const bool intra_ok = can_valid != 0;
-  util::AlignedVec<std::uint8_t>& vis = ps.vis;
-  for (std::size_t x = 0; x < n; ++x) {
-    const std::size_t mi = cp.mids[x].index();
-    const bool in_changed = !intra_ok || ps.o[x] != imo[mi] ||
-                            ps.e[x] != ime[mi] || ps.j[x] != imj[mi] ||
-                            ps.w[x] != imw[mi] || ps.d[x] != imd[mi] ||
-                            s.r_m[mi] != imr[mi];
-    vis[x] = (in_changed || (intra[mi] & kOutPrev) != 0) ? 1 : 0;
-  }
-  // The interference and blocking lists PARTITION the other bus members
-  // (every k != x lands in one of them; the class bytes only annotate),
-  // so "some candidate of x is dirty" collapses to "some member other
-  // than x is dirty".  One running count replaces both O(n) scans: vis
-  // members are counted up front, and a member whose outputs first
-  // change mid-sweep (kOutCur, Gauss-Seidel order) joins when it does —
-  // only if it was not already vis-counted.
-  std::size_t num_dirty = 0;
-  for (std::size_t x = 0; x < n; ++x) num_dirty += vis[x];
-  DeltaStats& dstats = ctx.ws.delta_stats();
   const bool prune = ctx.opt.offset_pruning;
   for (std::size_t x = 0; x < n; ++x) {
-    if (intra_ok && vis[x] == 0 && ps.w[x] != ctx.cap && num_dirty == 0) {
-      ++dstats.intra_skips;
-      continue;
-    }
     const Time latest_x = ps.o[x] + ps.j[x] + ps.w[x] + cp.tx[x];
     const Time arrival_x = ps.o[x] + ps.j[x];
     const Time j_x = ps.j[x];
-    const Time r_before = s.r_m[cp.mids[x].index()];
     Time blocking = 0;
     {
       const std::uint32_t* blk = cc.blk_list.data() + x * n;
@@ -920,44 +779,25 @@ void can_recurrences_fast(Ctx& ctx, State& s) {
     if (cp.is_et_to_tt[x] == 0) {
       raise(ctx, ps.d[x], ps.o[x] + s.r_m[mi]);
     }
-    if (ps.w[x] != s.w_m[mi] || ps.d[x] != s.d_m[mi] ||
-        s.r_m[mi] != r_before) {
-      intra[mi] |= kOutCur;
-      if (vis[x] == 0) ++num_dirty;  // not yet counted by the vis scan
-    }
   }
-  std::uint8_t* p1_active = ctx.ws.p1_active().data();
-  const std::uint32_t* msg_graph = ctx.ws.msg_graph().data();
   for (std::size_t x = 0; x < n; ++x) {
     const std::size_t mi = cp.mids[x].index();
     s.w_m[mi] = ps.w[x];
     s.d_m[mi] = ps.d[x];
-    imo[mi] = ps.o[x];
-    ime[mi] = ps.e[x];
-    imj[mi] = ps.j[x];
-    imw[mi] = ps.w[x];
-    imd[mi] = ps.d[x];
-    imr[mi] = s.r_m[mi];
-    if ((intra[mi] & kOutCur) != 0) {
-      p1_active[msg_graph[mi]] = 1;  // re-arm pass 1 for this graph
-      intra[mi] = kOutPrev;
-    } else {
-      intra[mi] = 0;
-    }
   }
-  can_valid = 1;
 }
 
-/// Pass-3 driver: the whole CAN bus on the selected kernel.  (The Fast
-/// kernel applies the intra-run fixed-point skip per member, using the
-/// cached interference + blocking lists as the exact read set.)
+/// Pass-3 driver: the whole CAN bus is one component on the selected
+/// kernel (arbitration couples every CAN-borne message).
 void pass3(Ctx& ctx, State& s) {
   if (ctx.can_messages.empty()) return;
-  if (ctx.eff_kernel == AnalysisKernel::Fast) {
-    can_recurrences_fast(ctx, s);
-  } else {
+  if (ctx.eff_kernel != AnalysisKernel::Fast) {
     can_message_recurrences(ctx, s);
+    return;
   }
+  run_component(ctx, ctx.ws.can_record(), ctx.can_messages,
+                {&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.d_m, &s.r_m},
+                [&] { can_recurrences_fast(ctx, s); });
 }
 
 /// ---- Pass 4: OutTTP FIFO drain through the gateway slot (§4.1.2) ------
@@ -1030,73 +870,15 @@ void out_ttp_drain(Ctx& ctx, State& s) {
 
 /// Pass-4 driver: the OutTTP FIFO is one component (arrival order couples
 /// all ET->TT messages).
-///
-/// Pass 4 never re-arms the pass-1 graph skip: it only writes i/ttp_wait/
-/// d/r of ET->TT messages, and none of those slots are pass-1 inputs (an
-/// ET->TT destination is a TT process, whose pinned branch reads no
-/// incoming-message state).
 void pass4(Ctx& ctx, State& s) {
   if (ctx.et_to_tt.empty()) return;
-  // Intra-run quiescence skip (Fast kernel only, like the pass-2/3 skips):
-  // the drain reads and writes only the ET->TT members' own fields, so if
-  // all eight are unchanged since the previous drain of this run and that
-  // drain was change- and divergence-free, re-running it is a no-op.
-  const int div_before = ctx.diverged;
-  const bool track = ctx.eff_kernel == AnalysisKernel::Fast;
-  AnalysisWorkspace& ws = ctx.ws;
-  if (track && ws.intra_ttp_state() == 3) {
-    bool quiet = true;
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      if (s.o_m[mi] != ws.intra_t_o()[mi] || s.e_m[mi] != ws.intra_t_e()[mi] ||
-          s.j_m[mi] != ws.intra_t_j()[mi] || s.w_m[mi] != ws.intra_t_w()[mi] ||
-          s.r_m[mi] != ws.intra_t_r()[mi] || s.d_m[mi] != ws.intra_t_d()[mi] ||
-          s.i_m[mi] != ws.intra_t_i()[mi] ||
-          s.ttp_wait[mi] != ws.intra_t_wait()[mi]) {
-        quiet = false;
-        break;
-      }
-    }
-    if (quiet) {
-      ws.delta_stats().intra_skips += ctx.et_to_tt.size();
-      return;
-    }
+  if (ctx.eff_kernel != AnalysisKernel::Fast) {
+    out_ttp_drain(ctx, s);
+    return;
   }
-  if (track) {
-    for (const MessageId mid : ctx.et_to_tt) {
-      const std::size_t mi = mid.index();
-      ws.intra_t_o()[mi] = s.o_m[mi];
-      ws.intra_t_e()[mi] = s.e_m[mi];
-      ws.intra_t_j()[mi] = s.j_m[mi];
-      ws.intra_t_w()[mi] = s.w_m[mi];
-      ws.intra_t_r()[mi] = s.r_m[mi];
-      ws.intra_t_d()[mi] = s.d_m[mi];
-      ws.intra_t_i()[mi] = s.i_m[mi];
-      ws.intra_t_wait()[mi] = s.ttp_wait[mi];
-    }
-  }
-  out_ttp_drain(ctx, s);
-  if (track) {
-    bool quiet = ctx.diverged == div_before;
-    for (const MessageId mid : ctx.et_to_tt) {
-      if (!quiet) break;
-      const std::size_t mi = mid.index();
-      quiet = s.r_m[mi] == ws.intra_t_r()[mi] &&
-              s.d_m[mi] == ws.intra_t_d()[mi] &&
-              s.i_m[mi] == ws.intra_t_i()[mi] &&
-              s.ttp_wait[mi] == ws.intra_t_wait()[mi];
-    }
-    if (!quiet) {
-      for (const MessageId mid : ctx.et_to_tt) {
-        const std::size_t mi = mid.index();
-        ws.intra_t_r()[mi] = s.r_m[mi];
-        ws.intra_t_d()[mi] = s.d_m[mi];
-        ws.intra_t_i()[mi] = s.i_m[mi];
-        ws.intra_t_wait()[mi] = s.ttp_wait[mi];
-      }
-    }
-    ws.intra_ttp_state() = quiet ? 3 : 1;
-  }
+  run_component(ctx, ctx.ws.fifo_record(), ctx.et_to_tt,
+                {&s.o_m, &s.e_m, &s.j_m, &s.w_m, &s.r_m, &s.d_m, &s.i_m, &s.ttp_wait},
+                [&] { out_ttp_drain(ctx, s); });
 }
 
 /// ---- Buffer bounds (§4.1.1 - §4.1.2) -----------------------------------
@@ -1219,7 +1001,6 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
   ctx.eff_kernel = workspace.active_kernel(input.options.kernel);
 
   State& s = workspace.reset_state();
-  workspace.reset_intra();
 
   AnalysisResult result;
   int iterations = 0;
@@ -1232,8 +1013,7 @@ AnalysisResult response_time_analysis(const AnalysisInput& input,
       pass_span.emplace("rta.pass", static_cast<std::uint64_t>(iterations));
     }
     // Pass 1 is the conduit through which every cross-component effect
-    // travels; it sweeps every graph whose activity byte is armed and
-    // elides graphs proven quiescent (see propagate).
+    // travels; it sweeps every graph on every pass.
     propagate(ctx, s);
 
     pass2(ctx, s);

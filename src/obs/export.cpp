@@ -25,7 +25,6 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   static const Counter cand_hits = counter("delta.cand_cache_hits");
   static const Counter cand_rebuilds = counter("delta.cand_cache_rebuilds");
   static const Counter intra = counter("delta.intra_skips");
-  static const Counter p1_skips = counter("delta.p1_graph_skips");
   static const Counter cache_hits = counter("eval_cache.hits");
   static const Counter cache_misses = counter("eval_cache.misses");
   static const Gauge scratch_max = gauge("workspace.scratch_bytes_max");
@@ -40,7 +39,6 @@ void publish_workspace(const core::AnalysisWorkspace& workspace,
   cand_hits.add(d.cand_cache_hits);
   cand_rebuilds.add(d.cand_cache_rebuilds);
   intra.add(d.intra_skips);
-  p1_skips.add(d.p1_graph_skips);
   cache_hits.add(eval_cache_hits);
   cache_misses.add(eval_cache_misses);
   scratch_max.record_max(

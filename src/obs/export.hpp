@@ -21,7 +21,9 @@ struct FaultCounters;
 namespace mcs::obs {
 
 /// Publishes one finished job's analysis-engine counters: DeltaStats
-/// (memo-eligible runs, fallbacks, memo hits, elided iterations, skips),
+/// (memo-eligible runs, fallbacks, memo hits, elided iterations, and
+/// `delta.intra_skips`, the members of the RTA components the Fast kernel
+/// skipped at a confirmed fixed point),
 /// evaluation-cache hits/lookups, the resolved kernel choice and the
 /// scratch footprint (gauge, max over jobs).  No-op while metrics are
 /// disabled.

@@ -148,6 +148,7 @@ message m3 P2 P4 8
     systems.push_back({std::move(sys.app), std::move(sys.platform), "reference"});
   }
 
+  std::uint64_t fast_skips = 0;
   for (const SystemUnderTest& sut : systems) {
     // Kernel matrix: the Fast kernel must reproduce the Reference oracle
     // bit-for-bit, on every candidate, through reused workspaces.
@@ -173,7 +174,18 @@ message m3 P2 P4 8
       EXPECT_EQ(cfg_f.process_offsets(), cfg_r.process_offsets());
       EXPECT_EQ(cfg_f.message_offsets(), cfg_r.message_offsets());
     }
+    // The component skip runs on the Fast kernel only; Reference stays
+    // the full-sweep oracle.
+    if (std::string(sut.active_kernel) == "fast") {
+      fast_skips += ws_fast.delta_stats().intra_skips;
+    } else {
+      EXPECT_EQ(ws_fast.delta_stats().intra_skips, 0u);
+    }
+    EXPECT_EQ(ws_reference.delta_stats().intra_skips, 0u);
   }
+  // And it must actually fire: a kernel that never skips keeps every
+  // result bit and loses only time.
+  EXPECT_GT(fast_skips, 0u);
 }
 
 // KernelScratch + candidate-cache memory behavior: one workspace driven

@@ -5,6 +5,9 @@
 // recomputed one.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mcs/core/hopa.hpp"
 #include "mcs/core/moves.hpp"
 #include "mcs/core/multi_cluster_scheduling.hpp"
@@ -263,6 +266,7 @@ TEST(AnalysisWorkspace, ParallelArcAnalysisIsPinned) {
   // message; hoisting either rule must not move a single value.
   using V = std::vector<util::Time>;
   const gen::PaperExample ex = parallel_arc_example();
+  std::vector<McsResult> slotless;  // per kernel: Fast, then Reference
   for (const auto kernel : {AnalysisKernel::Fast, AnalysisKernel::Reference}) {
     for (const auto variant : {gen::Figure4Variant::A, gen::Figure4Variant::B}) {
       SystemConfig cfg = gen::make_figure4_config(ex, variant);
@@ -300,7 +304,7 @@ TEST(AnalysisWorkspace, ParallelArcAnalysisIsPinned) {
     EXPECT_FALSE(r.schedule.feasible);
     EXPECT_EQ(r.iterations, 3);
     EXPECT_EQ(a.outer_iterations, 2);
-    EXPECT_EQ(a.diverged_activities, kernel == AnalysisKernel::Fast ? 35 : 38);
+    EXPECT_EQ(a.diverged_activities, 38);
     EXPECT_EQ(a.process_offsets, (V{0, 0, 0, 1200, 20, 1200, 45}));
     EXPECT_EQ(a.process_jitter, (V{0, 1200, 1200, 0, 1180, 0, 1155}));
     EXPECT_EQ(a.process_response, (V{30, 1200, 1200, 30, 1200, 10, 1160}));
@@ -308,7 +312,12 @@ TEST(AnalysisWorkspace, ParallelArcAnalysisIsPinned) {
     EXPECT_EQ(a.message_delivery, (V{1200, 1200, 1200, 1200, 30, 1200}));
     EXPECT_EQ(a.graph_response, (V{1230}));
     EXPECT_EQ(r.schedule.process_start, (V{0, 0, 0, 1200, 0, 1230, 0}));
+    slotless.push_back(r);
   }
+  // Members sit at the cap here, so every pass re-counts their over-cap
+  // raises: the Fast kernel may skip only runs that counted none.
+  std::string why;
+  EXPECT_TRUE(bit_identical(slotless[0], slotless[1], &why)) << why;
 }
 
 TEST(AnalysisWorkspace, RejectsMismatchedSystem) {

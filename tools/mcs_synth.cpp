@@ -112,7 +112,7 @@ using namespace mcs;
 
 namespace {
 
-constexpr const char* kVersion = "0.10.0";
+constexpr const char* kVersion = "0.11.0";
 
 /// Graceful-shutdown flag the signal handler raises; the job runtime
 /// polls it and drains (std::atomic<bool> is lock-free on every target we
@@ -588,9 +588,8 @@ void print_stats(const core::MoveContext& ctx,
               static_cast<unsigned long long>(d.cand_cache_hits),
               static_cast<unsigned long long>(d.cand_cache_rebuilds),
               pct(d.cand_cache_hits, d.cand_cache_hits + d.cand_cache_rebuilds));
-  std::printf("  fixed-point skips      %llu members, %llu pass-1 graphs\n",
-              static_cast<unsigned long long>(d.intra_skips),
-              static_cast<unsigned long long>(d.p1_graph_skips));
+  std::printf("  fixed-point skips      %llu members\n",
+              static_cast<unsigned long long>(d.intra_skips));
   const std::uint64_t hits = ctx.evaluation_cache().hits();
   const std::uint64_t lookups = hits + ctx.evaluation_cache().misses();
   std::printf("  evaluation cache       %llu/%llu hits (%.1f%% hit rate)\n",
