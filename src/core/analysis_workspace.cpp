@@ -70,12 +70,14 @@ void AnalysisWorkspace::build() {
     }
   }
 
-  et_procs_by_node_.resize(platform.num_nodes());
+  // ETC processes per node index (dense over all nodes): the members of
+  // the per-node process pools built below.
+  std::vector<std::vector<ProcessId>> et_procs_by_node(platform.num_nodes());
   for (std::size_t pi = 0; pi < app.num_processes(); ++pi) {
     const ProcessId p(static_cast<ProcessId::underlying_type>(pi));
     const model::Process& proc = app.process(p);
     if (platform.is_et(proc.node)) {
-      et_procs_by_node_[proc.node.index()].push_back(p);
+      et_procs_by_node[proc.node.index()].push_back(p);
     }
   }
 
@@ -128,7 +130,7 @@ void AnalysisWorkspace::build() {
   // parts of the pruning predicates (graph membership, reachability,
   // periods, shared sender) into one byte per ordered pair.
   std::size_t max_pool = can_messages_.size();
-  for (const auto& procs : et_procs_by_node_) {
+  for (const auto& procs : et_procs_by_node) {
     if (procs.empty()) continue;
     ProcPool pool;
     pool.node = app.process(procs.front()).node;

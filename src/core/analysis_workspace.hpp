@@ -138,11 +138,6 @@ public:
   [[nodiscard]] const std::vector<util::MessageId>& tt_to_et() const noexcept {
     return tt_to_et_;
   }
-  /// ETC processes per node index (dense over all nodes).
-  [[nodiscard]] const std::vector<std::vector<util::ProcessId>>& et_procs_by_node()
-      const noexcept {
-    return et_procs_by_node_;
-  }
   /// ET-sourced CAN messages per sender node index (OutNi pools).
   [[nodiscard]] const std::vector<std::vector<util::MessageId>>& out_ni_by_node()
       const noexcept {
@@ -436,7 +431,6 @@ private:
   std::vector<util::MessageId> can_messages_;
   std::vector<util::MessageId> et_to_tt_;
   std::vector<util::MessageId> tt_to_et_;
-  std::vector<std::vector<util::ProcessId>> et_procs_by_node_;
   std::vector<std::vector<util::MessageId>> out_ni_by_node_;
   std::vector<std::vector<util::ProcessId>> topo_;
   std::vector<util::Time> path_to_;

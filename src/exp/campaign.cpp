@@ -1,49 +1,20 @@
 #include "mcs/exp/campaign.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <limits>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 
-#include <optional>
-
-#include "mcs/core/optimize_resources.hpp"
 #include "mcs/core/simulated_annealing.hpp"
-#include "mcs/core/straightforward.hpp"
 #include "mcs/exp/journal.hpp"
 #include "mcs/gen/generator.hpp"
-#include "mcs/obs/export.hpp"
 #include "mcs/obs/trace.hpp"
-#include "mcs/util/hash.hpp"
-#include "mcs/util/kv_parse.hpp"
 #include "mcs/util/stats.hpp"
-#include "mcs/util/thread_pool.hpp"
 
 namespace mcs::exp {
 
 namespace {
 
 constexpr const char* kSpecContext = "campaign spec";
-
-[[nodiscard]] double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-[[nodiscard]] std::vector<Strategy> parse_strategies(const util::KvEntry& e) {
-  std::vector<Strategy> strategies;
-  for (const std::string& item : util::kv_list(e, kSpecContext)) {
-    try {
-      strategies.push_back(parse_strategy(item));
-    } catch (const std::invalid_argument& err) {
-      util::kv_fail(kSpecContext, e.line, err.what());
-    }
-  }
-  return strategies;
-}
 
 /// Runs the spec's strategies on one generated instance.  Everything
 /// mutable — the generated system, the MoveContext with its
@@ -56,10 +27,7 @@ constexpr const char* kSpecContext = "campaign spec";
   const obs::Span job_span("campaign.job", static_cast<std::uint64_t>(job_index));
   const auto job_start = std::chrono::steady_clock::now();
   JobResult job;
-  job.job_index = job_index;
-  job.dimension = point.dimension;
-  job.replica = point.replica;
-  job.system_seed = point.params.seed;
+  identify(job, point, job_index);
 
   const gen::GeneratedSystem sys = gen::generate(point.params);
   job.processes = sys.app.num_processes();
@@ -67,15 +35,7 @@ constexpr const char* kSpecContext = "campaign spec";
   job.inter_cluster_messages = sys.inter_cluster_messages;
 
   const core::MoveContext ctx(sys.app, sys.platform, spec.mcs_options());
-
-  core::OptimizeScheduleOptions os_options;
-  os_options.hopa.max_iterations = spec.budgets.hopa_iterations;
-  os_options.cancel = &cancel;
-  core::OptimizeResourcesOptions or_options;
-  or_options.schedule = os_options;
-  or_options.max_seed_starts = spec.budgets.or_max_seed_starts;
-  or_options.max_climb_iterations = spec.budgets.or_max_climb_iterations;
-  or_options.neighbors_per_step = spec.budgets.or_neighbors_per_step;
+  const core::OptimizeResourcesOptions options = optimizer_options(spec.budgets, cancel);
 
   // Annealing starts from the best candidate produced so far (the bench
   // setup: SAS refines OS, SAR refines OR), falling back to the initial
@@ -88,100 +48,47 @@ constexpr const char* kSpecContext = "campaign spec";
     StrategyOutcome outcome;
     outcome.strategy = strategy;
     const auto start = std::chrono::steady_clock::now();
+    const auto record = [&outcome](const core::Evaluation& eval, int evaluations) {
+      outcome.schedulable = eval.schedulable;
+      outcome.delta = eval.delta;
+      outcome.s_total = eval.s_total;
+      outcome.evaluations = evaluations;
+    };
 
-    switch (strategy) {
-      case Strategy::Sf: {
-        const auto sf = core::straightforward(ctx);
-        outcome.schedulable = sf.evaluation.schedulable;
-        outcome.delta = sf.evaluation.delta;
-        outcome.s_total = sf.evaluation.s_total;
-        outcome.evaluations = 1;
-        sa_start = sf.candidate;
-        break;
-      }
-      case Strategy::Os: {
-        const auto os = core::optimize_schedule(ctx, os_options);
-        outcome.schedulable = os.best_eval.schedulable;
-        outcome.delta = os.best_eval.delta;
-        outcome.s_total = os.best_eval.s_total;
-        outcome.evaluations = os.evaluations;
-        sa_start = os.best;
-        break;
-      }
-      case Strategy::Or: {
-        const auto orr = core::optimize_resources(ctx, or_options);
-        outcome.schedulable = orr.best_eval.schedulable;
-        outcome.delta = orr.best_eval.delta;
-        outcome.s_total = orr.best_eval.s_total;
-        outcome.s_total_before = orr.s_total_before;
-        outcome.evaluations = orr.evaluations;
-        sa_start = orr.best;
-        break;
-      }
-      case Strategy::Sas:
-      case Strategy::Sar: {
-        // Optionally skip the expensive annealing when the strategy it
-        // refines already failed (the Figure 9b/9c setup).  Conditioned
-        // only on the previous outcome's deterministic fields.
-        if (!spec.anneal_unschedulable_starts && !job.outcomes.empty() &&
-            !job.outcomes.back().schedulable) {
-          outcome.skipped = true;
-          break;
-        }
-        core::SaOptions sa;
-        sa.objective = strategy == Strategy::Sas ? core::SaObjective::Schedulability
-                                                 : core::SaObjective::BufferSize;
-        sa.max_evaluations = spec.budgets.sa_max_evaluations;
-        // No wall-clock budget: a time limit would make the trajectory —
-        // and thus the result — depend on machine load (DESIGN.md §4).
-        sa.max_milliseconds = 0;
-        sa.cancel = &cancel;
-        sa.seed = derive_seed(spec.campaign_seed, job_index, si);
-        const auto sar = core::simulated_annealing(ctx, sa_start, sa);
-        outcome.schedulable = sar.best_eval.schedulable;
-        outcome.delta = sar.best_eval.delta;
-        outcome.s_total = sar.best_eval.s_total;
-        outcome.evaluations = sar.evaluations;
-        break;
-      }
+    if (strategy != Strategy::Sas && strategy != Strategy::Sar) {
+      Synthesis synthesis = synthesize(ctx, strategy, options);
+      record(synthesis.evaluation, synthesis.evaluations);
+      outcome.s_total_before = synthesis.s_total_before;
+      sa_start = std::move(synthesis.candidate);
+    } else if (!spec.anneal_unschedulable_starts && !job.outcomes.empty() &&
+               !job.outcomes.back().schedulable) {
+      // Skip the expensive annealing when the strategy it refines already
+      // failed (the Figure 9b/9c setup).  Conditioned only on the previous
+      // outcome's deterministic fields.
+      outcome.skipped = true;
+    } else {
+      core::SaOptions sa;
+      sa.objective = strategy == Strategy::Sas ? core::SaObjective::Schedulability
+                                               : core::SaObjective::BufferSize;
+      sa.max_evaluations = spec.budgets.sa_max_evaluations;
+      // No wall-clock budget: a time limit would make the trajectory —
+      // and thus the result — depend on machine load (DESIGN.md §4).
+      sa.max_milliseconds = 0;
+      sa.cancel = &cancel;
+      sa.seed = derive_seed(spec.campaign_seed, job_index, si);
+      const auto sar = core::simulated_annealing(ctx, sa_start, sa);
+      record(sar.best_eval, sar.evaluations);
     }
 
     outcome.seconds = seconds_since(start);
     job.outcomes.push_back(outcome);
   }
 
-  // Per-job engine metrics: every field is a pure function of the job's
-  // inputs (the workspace and cache are job-local), so they go INTO the
-  // determinism signature rather than being carved out of it.
   for (const StrategyOutcome& o : job.outcomes) {
     job.evals += static_cast<std::uint64_t>(o.evaluations);
   }
-  job.cache_hits = ctx.evaluation_cache().hits();
-  job.cache_lookups = ctx.evaluation_cache().hits() + ctx.evaluation_cache().misses();
-  job.delta_fallbacks = ctx.workspace().delta_stats().fallbacks;
-  obs::publish_workspace(ctx.workspace(), ctx.evaluation_cache().hits(),
-                         ctx.evaluation_cache().misses(),
-                         ctx.workspace().active_kernel_name(
-                             spec.mcs_options().analysis.kernel));
-
+  record_engine_metrics(job, ctx);
   job.seconds = seconds_since(job_start);
-  return job;
-}
-
-/// Report row for a job that did not complete (timeout / failed / shed /
-/// pending): identification comes from the suite point (so the row is
-/// still attributable and replayable), the outcome fields stay empty.
-[[nodiscard]] JobResult degraded_job(const gen::SuitePoint& point,
-                                     std::size_t job_index,
-                                     const JobDisposition& disposition) {
-  JobResult job;
-  job.job_index = job_index;
-  job.dimension = point.dimension;
-  job.replica = point.replica;
-  job.system_seed = point.params.seed;
-  job.state = disposition.state;
-  job.attempts = disposition.attempts;
-  job.error = disposition.error;
   return job;
 }
 
@@ -200,11 +107,6 @@ constexpr const char* kSpecContext = "campaign spec";
     }
   }
   return std::string::npos;
-}
-
-void update_signature(util::Fnv1a& h, const std::string& s) {
-  h.update(static_cast<std::uint64_t>(s.size()));
-  for (const char c : s) h.update_byte(static_cast<std::uint8_t>(c));
 }
 
 void update_signature(util::Fnv1a& h, const JobResult& job) {
@@ -227,130 +129,39 @@ void update_signature(util::Fnv1a& h, const JobResult& job) {
   }
   h.update(static_cast<std::uint64_t>(job.state));
   h.update(static_cast<std::uint64_t>(job.attempts));
-  update_signature(h, job.error);
+  hash_string(h, job.error);
   h.update(job.evals);
   h.update(job.cache_hits);
   h.update(job.cache_lookups);
   h.update(job.delta_fallbacks);
 }
 
-/// Minimal JSON string escaping for the user-controlled spec fields.
-[[nodiscard]] std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// RFC-4180 quoting for the one free-text CSV column (the campaign name).
-[[nodiscard]] std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
-
-std::string to_string(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::Sf: return "sf";
-    case Strategy::Os: return "os";
-    case Strategy::Or: return "or";
-    case Strategy::Sas: return "sas";
-    case Strategy::Sar: return "sar";
-  }
-  return "?";
-}
-
-Strategy parse_strategy(const std::string& name) {
-  if (name == "sf") return Strategy::Sf;
-  if (name == "os") return Strategy::Os;
-  if (name == "or") return Strategy::Or;
-  if (name == "sas") return Strategy::Sas;
-  if (name == "sar") return Strategy::Sar;
-  throw std::invalid_argument("unknown strategy '" + name +
-                              "' (expected sf, os, or, sas or sar)");
-}
-
-core::McsOptions CampaignSpec::mcs_options() const {
-  core::McsOptions options;
-  options.analysis.offset_pruning = !conservative;
-  options.analysis.ttp_queue_model =
-      paper_ttp ? core::TtpQueueModel::PaperFormula : core::TtpQueueModel::Exact;
-  return options;
-}
 
 CampaignSpec parse_campaign_spec(std::istream& in) {
   CampaignSpec spec;
-  for (const util::KvEntry& e : util::parse_kv(in, kSpecContext)) {
-    if (e.key == "name") {
-      spec.name = e.value;
-    } else if (e.key == "suite") {
-      spec.suite = e.value;
-    } else if (e.key == "seeds_per_dim") {
-      spec.seeds_per_dim = static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "suite_base_seed") {
-      spec.suite_base_seed = util::kv_u64(e, kSpecContext);
-    } else if (e.key == "campaign_seed") {
-      spec.campaign_seed = util::kv_u64(e, kSpecContext);
-    } else if (e.key == "strategies") {
-      spec.strategies = parse_strategies(e);
-    } else if (e.key == "conservative") {
-      spec.conservative = util::kv_bool(e, kSpecContext);
-    } else if (e.key == "paper_ttp") {
-      spec.paper_ttp = util::kv_bool(e, kSpecContext);
+  parse_spec(in, kSpecContext, spec, [&spec](const util::KvEntry& e) {
+    if (e.key == "strategies") {
+      spec.strategies.clear();
+      for (const std::string& item : util::kv_list(e, kSpecContext)) {
+        try {
+          spec.strategies.push_back(parse_strategy(item));
+        } catch (const std::invalid_argument& err) {
+          util::kv_fail(kSpecContext, e.line, err.what());
+        }
+      }
     } else if (e.key == "anneal_unschedulable_starts") {
       spec.anneal_unschedulable_starts = util::kv_bool(e, kSpecContext);
-    } else if (e.key == "jobs") {
-      spec.jobs = static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "job_timeout_ms") {
-      spec.job_timeout_ms = static_cast<std::int64_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "max_retries") {
-      spec.max_retries = util::kv_int(e, kSpecContext);
-    } else if (e.key == "queue_limit") {
-      spec.queue_limit = static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "sa_max_evaluations") {
-      spec.budgets.sa_max_evaluations = util::kv_int(e, kSpecContext);
-    } else if (e.key == "hopa_iterations") {
-      spec.budgets.hopa_iterations = util::kv_int(e, kSpecContext);
-    } else if (e.key == "or_max_seed_starts") {
-      spec.budgets.or_max_seed_starts =
-          static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "or_max_climb_iterations") {
-      spec.budgets.or_max_climb_iterations = util::kv_int(e, kSpecContext);
-    } else if (e.key == "or_neighbors_per_step") {
-      spec.budgets.or_neighbors_per_step =
-          static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
     } else {
-      util::kv_fail(kSpecContext, e.line, "unknown key '" + e.key + "'");
+      return false;
     }
-  }
+    return true;
+  });
   return spec;
 }
 
 CampaignSpec parse_campaign_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::invalid_argument("cannot open campaign spec: " + path);
+  std::ifstream in = open_spec_file(path, kSpecContext);
   return parse_campaign_spec(in);
 }
 
@@ -377,7 +188,7 @@ std::uint64_t CampaignResult::signature() const {
 
 std::uint64_t campaign_spec_digest(const CampaignSpec& spec) {
   util::Fnv1a h;
-  update_signature(h, spec.suite);
+  hash_string(h, spec.suite);
   h.update(static_cast<std::uint64_t>(spec.seeds_per_dim));
   h.update(spec.suite_base_seed);
   h.update(spec.campaign_seed);
@@ -518,54 +329,19 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   }
 
-  RuntimeOptions runtime;
-  runtime.workers = spec.jobs == 0 ? util::ThreadPool::default_workers() : spec.jobs;
-  runtime.job_timeout_ms = spec.job_timeout_ms;
-  runtime.max_retries = spec.max_retries;
-  runtime.queue_limit = spec.queue_limit;
-  runtime.retry_seed = spec.campaign_seed;
-  runtime.stop = options.stop;
-  runtime.faults = options.faults;
-
-  RuntimeReport report;
-  const std::vector<JobDisposition> dispositions = run_jobs(
-      runtime, suite.size(),
-      [&](std::size_t i, const util::CancelToken& cancel) {
-        // Only a completed run_job assigns the slot, so a retried attempt
-        // leaves no partial state behind.
-        result.jobs[i] = run_job(spec, suite[i], i, cancel);
-      },
-      options.resume ? &done : nullptr,
-      [&](std::size_t i, const JobDisposition& disposition) {
-        JobResult& job = result.jobs[i];
-        if (disposition.state == RunState::Done) {
-          job.state = RunState::Done;
-          job.attempts = disposition.attempts;
-          // A done-after-retry row keeps the transient reason it overcame.
-          job.error = disposition.error;
-        } else {
-          job = degraded_job(suite[i], i, disposition);
-        }
+  // Journal every settled row as it lands; run_suite never hands over the
+  // `pending` rows of a shutdown drain, which --resume re-runs.
+  run_suite(
+      result, suite, options, options.resume ? &done : nullptr, run_job,
+      [](JobResult& job, RunState state) { job.state = state; },
+      [&journal](const JobResult& job) {
         if (journal) journal->append(encode_job_result(job));
-      },
-      &report);
-
-  // Jobs the shutdown drain left unfinished (never started, or cancelled
-  // mid-attempt with the partial result discarded): attributable `pending`
-  // rows, deliberately NOT journaled — --resume re-runs exactly these.
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    if (dispositions[i].state != RunState::Pending) continue;
-    JobDisposition pending = dispositions[i];
-    pending.error = "pending: shutdown requested before the job finished";
-    result.jobs[i] = degraded_job(suite[i], i, pending);
-  }
+      });
 
   if (journal) {
     journal->sync();
     journal->close();
   }
-  result.workers = report.workers;
-  result.interrupted = report.interrupted;
   result.wall_seconds = seconds_since(start);
   return result;
 }
@@ -645,10 +421,7 @@ void write_json(const CampaignResult& result, std::ostream& out) {
       << "  \"interrupted\": " << (result.interrupted ? "true" : "false") << ",\n"
       << "  \"resumed_jobs\": " << result.resumed_jobs << ",\n"
       << "  \"wall_seconds\": " << result.wall_seconds << ",\n";
-  char sig[32];
-  std::snprintf(sig, sizeof sig, "%016llx",
-                static_cast<unsigned long long>(result.signature()));
-  out << "  \"signature\": \"" << sig << "\",\n";
+  out << "  \"signature\": \"" << hex_digest(result.signature()) << "\",\n";
 
   // Campaign-wide runtime percentiles per strategy (wall clock, thus the
   // one section that legitimately varies between runs).
@@ -668,21 +441,14 @@ void write_json(const CampaignResult& result, std::ostream& out) {
 
   for (std::size_t ji = 0; ji < result.jobs.size(); ++ji) {
     const JobResult& job = result.jobs[ji];
-    out << "    {\"job\": " << job.job_index << ", \"dimension\": "
-        << job.dimension << ", \"replica\": " << job.replica
-        << ", \"system_seed\": " << job.system_seed << ", \"processes\": "
-        << job.processes << ", \"messages\": " << job.messages
+    out << "    {" << JsonRowHead{job}
         << ", \"inter_cluster_messages\": " << job.inter_cluster_messages
         << ", \"state\": \"" << to_string(job.state) << "\""
         << ", \"attempts\": " << job.attempts
         << ", \"failed\": " << (job.failed() ? "true" : "false")
         << ", \"error\": \"" << json_escape(job.error) << "\""
-        << ", \"seconds\": " << job.seconds << ",\n     \"metrics\": {\"evals\": "
-        << job.evals << ", \"cache_hits\": " << job.cache_hits
-        << ", \"cache_lookups\": " << job.cache_lookups
-        << ", \"cache_hit_rate\": " << job.cache_hit_rate()
-        << ", \"delta_fallbacks\": " << job.delta_fallbacks
-        << "},\n     \"outcomes\": [";
+        << ", \"seconds\": " << job.seconds << ",\n     " << JsonMetrics{job}
+        << ",\n     \"outcomes\": [";
     for (std::size_t si = 0; si < job.outcomes.size(); ++si) {
       const StrategyOutcome& o = job.outcomes[si];
       out << (si ? ",\n       " : "\n       ") << "{\"strategy\": \""

@@ -11,21 +11,11 @@
 // delta/s_total averages) plus campaign-wide runtime percentiles, written
 // as a plain-text table, JSON and CSV.
 //
-// Concurrency & determinism contract (DESIGN.md §4):
-//
-//   * Each job builds its OWN core::MoveContext — and therefore its own
-//     AnalysisWorkspace and EvaluationCache — on the worker thread that
-//     runs it.  Those objects are mutable and single-threaded by design
-//     and are NEVER shared across jobs or threads.
-//   * Every stochastic component inside a job draws from a seed derived
-//     as FNV-1a(campaign_seed, job_index, strategy_index) — a pure
-//     function of the spec, independent of scheduling order.
-//   * Jobs write into preassigned result slots (results[job_index]).
-//
-// Together these make every deterministic field of the result — everything
-// except wall-clock times — bit-identical for any `jobs` value, which
-// tests/exp/campaign_test.cpp asserts (jobs=1 vs jobs=4) and
-// CampaignResult::signature() digests.
+// The determinism contract of experiment.hpp holds: every stochastic
+// component inside a job draws from FNV-1a(campaign_seed, job_index,
+// strategy_index), so every field except wall-clock times is bit-identical
+// for any `jobs` value, which tests/exp/campaign_test.cpp asserts (jobs=1
+// vs jobs=4) and CampaignResult::signature() digests.
 #pragma once
 
 #include <atomic>
@@ -36,70 +26,38 @@
 #include <vector>
 
 #include "mcs/core/degree_of_schedulability.hpp"
-#include "mcs/core/multi_cluster_scheduling.hpp"
-#include "mcs/exp/job_runtime.hpp"
-#include "mcs/gen/suites.hpp"
+#include "mcs/exp/experiment.hpp"
 #include "mcs/util/table.hpp"
 
 namespace mcs::exp {
 
-/// The synthesis strategies a campaign can run per instance (paper §6
-/// nomenclature).  SAS/SAR seed their annealing from the best candidate
-/// an earlier OS/OR strategy produced, mirroring the benchmark setup.
-enum class Strategy { Sf, Os, Or, Sas, Sar };
-
-[[nodiscard]] std::string to_string(Strategy strategy);
-/// Parses "sf" | "os" | "or" | "sas" | "sar" (throws std::invalid_argument).
-[[nodiscard]] Strategy parse_strategy(const std::string& name);
-
-/// Search budgets (the defaults match bench_common.hpp's laptop profile).
-struct CampaignBudgets {
-  int sa_max_evaluations = 250;
-  int hopa_iterations = 3;
-  std::size_t or_max_seed_starts = 3;
-  int or_max_climb_iterations = 10;
-  std::size_t or_neighbors_per_step = 16;
-};
-
-/// Declarative description of one campaign.  Everything that influences a
+/// Declarative description of one campaign: the shared experiment keys
+/// (experiment.hpp) plus the strategy list.  Everything that influences a
 /// deterministic result field lives here; `jobs` only controls sharding.
-struct CampaignSpec {
-  std::string name = "campaign";
-  std::string suite = "tiny";  ///< gen::suite_by_name: fig9ab | fig9c | tiny
-  std::size_t seeds_per_dim = 2;
-  std::uint64_t suite_base_seed = 1000;  ///< generator seed grid origin
-  std::uint64_t campaign_seed = 1;       ///< root of the per-job RNG streams
+/// The resilience knobs are part of the spec digest: they change which
+/// rows exist.
+struct CampaignSpec : ExperimentSpec {
+  CampaignSpec() {
+    name = "campaign";
+    suite = "tiny";  // fig9ab | fig9c | tiny
+    seeds_per_dim = 2;
+    suite_base_seed = 1000;
+  }
+
   std::vector<Strategy> strategies = {Strategy::Sf, Strategy::Os, Strategy::Sas};
-  bool conservative = false;  ///< disable offset/precedence pruning
-  bool paper_ttp = false;     ///< closed-form OutTTP model
   /// When false, SAS/SAR is skipped (outcome.skipped = true) on jobs
   /// whose preceding strategy was unschedulable — the Figure 9b/9c
   /// benches' behavior, saving the full SA budget on hopeless instances.
   /// The skip decision reads only deterministic fields, so thread-count
   /// invariance is preserved.
   bool anneal_unschedulable_starts = true;
-  CampaignBudgets budgets;
-  std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Resilience knobs, forwarded to the job runtime (see job_runtime.hpp).
-  /// All three are part of the spec digest: they change which rows exist.
-  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog (0 = off)
-  int max_retries = 0;              ///< transient-failure retries per job
-  std::size_t queue_limit = 0;      ///< admission control (0 = unlimited)
-
-  [[nodiscard]] core::McsOptions mcs_options() const;
 };
 
-/// Parses the line-based `key = value` spec format ('#' starts a comment):
-///
-///   name       = fig9a-repro        suite          = fig9ab
-///   seeds_per_dim = 10              suite_base_seed = 1000
-///   campaign_seed = 1               strategies     = sf, os, sas
-///   jobs       = 4                  conservative   = false
-///   paper_ttp  = false              sa_max_evaluations = 250
-///   hopa_iterations = 3             or_max_seed_starts = 3
-///   or_max_climb_iterations = 10    or_neighbors_per_step = 16
-///
-/// Unknown keys throw std::invalid_argument with the line number.
+/// Parses the `key = value` spec format (experiment.hpp's parse_spec) with
+/// the campaign keys `strategies` (comma list of sf, os, or, sas, sar, in
+/// run order) and `anneal_unschedulable_starts`; see examples/tiny.campaign.
+/// Unknown keys and out-of-range values throw std::invalid_argument with
+/// the line number ("campaign spec line N: ...").
 [[nodiscard]] CampaignSpec parse_campaign_spec(std::istream& in);
 [[nodiscard]] CampaignSpec parse_campaign_spec_file(const std::string& path);
 
@@ -122,13 +80,7 @@ struct StrategyOutcome {
 };
 
 /// One instance: the generated system plus every strategy outcome.
-struct JobResult {
-  std::size_t job_index = 0;
-  std::size_t dimension = 0;  ///< suite dimension (processes or gw messages)
-  std::size_t replica = 0;
-  std::uint64_t system_seed = 0;
-  std::size_t processes = 0;
-  std::size_t messages = 0;
+struct JobResult : JobRow {
   std::size_t inter_cluster_messages = 0;
   std::vector<StrategyOutcome> outcomes;
   /// How the job runtime settled this job (DESIGN.md §6): `done` rows
@@ -136,25 +88,6 @@ struct JobResult {
   /// report rows with `error` explaining why — they never abort the
   /// campaign or discard other jobs.
   RunState state = RunState::Done;
-  /// Attempts the runtime started (> 1 means transient retries happened;
-  /// for a `done` row `error` then records the reason that was overcome).
-  int attempts = 1;
-  std::string error;
-  double seconds = 0.0;
-  /// Per-job engine metrics (DESIGN.md §7).  All four are deterministic —
-  /// pure functions of the job's inputs, independent of thread count —
-  /// and therefore part of the signature.
-  std::uint64_t evals = 0;            ///< total strategy evaluations
-  std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
-  std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
-  std::uint64_t delta_fallbacks = 0;  ///< delta runs that fell back to cold
-
-  /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
-  [[nodiscard]] double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(cache_lookups);
-  }
 
   [[nodiscard]] bool failed() const { return state == RunState::Failed; }
 
@@ -183,9 +116,9 @@ struct CampaignResult {
 };
 
 /// Execution-time knobs that do NOT affect which results a finished
-/// campaign contains — journaling, resume, shutdown, fault injection.
-/// None of them enter the spec digest or the result signature.
-struct CampaignRunOptions {
+/// campaign contains — shutdown and fault injection (RunControl), journaling
+/// and resume.  None of them enter the spec digest or the result signature.
+struct CampaignRunOptions : RunControl {
   /// Append each settled JobResult to this crash-safe journal (empty =
   /// no journaling).  See journal.hpp for the format.
   std::string journal_path;
@@ -194,10 +127,6 @@ struct CampaignRunOptions {
   /// signature equals an uninterrupted run's.  The journal's spec digest
   /// must match `spec` (JournalError otherwise).
   bool resume = false;
-  /// Graceful shutdown flag (signal handlers set it).  Not owned.
-  const std::atomic<bool>* stop = nullptr;
-  /// Test-only fault injection, forwarded to the runtime.
-  std::vector<RuntimeFault> faults;
 };
 
 /// Runs the campaign on `spec.jobs` worker threads.  Results are

@@ -2,30 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "mcs/core/optimize_resources.hpp"
-#include "mcs/core/straightforward.hpp"
 #include "mcs/gen/generator.hpp"
 #include "mcs/obs/export.hpp"
 #include "mcs/obs/trace.hpp"
-#include "mcs/util/hash.hpp"
-#include "mcs/util/kv_parse.hpp"
-#include "mcs/util/thread_pool.hpp"
 
 namespace mcs::exp {
 
 namespace {
 
 constexpr const char* kSpecContext = "validation spec";
-
-[[nodiscard]] double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// The per-(job, scenario) RNG seed: a pure function of the spec, so the
 /// same scenario perturbs the same instance identically for any thread
@@ -92,65 +81,22 @@ constexpr const char* kSpecContext = "validation spec";
   const obs::Span job_span("validation.job", static_cast<std::uint64_t>(job_index));
   const auto job_start = std::chrono::steady_clock::now();
   ValidationJob job;
-  job.job_index = job_index;
-  job.dimension = point.dimension;
-  job.replica = point.replica;
-  job.system_seed = point.params.seed;
+  identify(job, point, job_index);
 
   const gen::GeneratedSystem sys = gen::generate(point.params);
   job.processes = sys.app.num_processes();
   job.messages = sys.app.num_messages();
 
   const core::MoveContext ctx(sys.app, sys.platform, spec.mcs_options());
-  core::OptimizeScheduleOptions os_options;
-  os_options.hopa.max_iterations = spec.budgets.hopa_iterations;
-  os_options.cancel = &cancel;
-  core::OptimizeResourcesOptions or_options;
-  or_options.schedule = os_options;
-  or_options.max_seed_starts = spec.budgets.or_max_seed_starts;
-  or_options.max_climb_iterations = spec.budgets.or_max_climb_iterations;
-  or_options.neighbors_per_step = spec.budgets.or_neighbors_per_step;
-
-  core::Candidate candidate = core::Candidate::initial(sys.app, sys.platform);
-  core::Evaluation eval;
-  switch (spec.strategy) {
-    case Strategy::Sf: {
-      auto sf = core::straightforward(ctx);
-      candidate = std::move(sf.candidate);
-      eval = std::move(sf.evaluation);
-      job.evals = 1;
-      break;
-    }
-    case Strategy::Os: {
-      auto os = core::optimize_schedule(ctx, os_options);
-      candidate = std::move(os.best);
-      eval = std::move(os.best_eval);
-      job.evals = static_cast<std::uint64_t>(os.evaluations);
-      break;
-    }
-    case Strategy::Or: {
-      auto orr = core::optimize_resources(ctx, or_options);
-      candidate = std::move(orr.best);
-      eval = std::move(orr.best_eval);
-      job.evals = static_cast<std::uint64_t>(orr.evaluations);
-      break;
-    }
-    case Strategy::Sas:
-    case Strategy::Sar:
-      throw std::invalid_argument(
-          "validation campaigns support the sf, os and or strategies only");
-  }
+  const Synthesis synthesis =
+      synthesize(ctx, spec.strategy, optimizer_options(spec.budgets, cancel));
+  const core::Evaluation& eval = synthesis.evaluation;
+  job.evals = static_cast<std::uint64_t>(synthesis.evaluations);
   job.converged = eval.mcs.converged;
   job.schedulable = eval.schedulable;
   // Synthesis is over, so the job-local cache and workspace counters are
   // final: record them before any of the early returns below.
-  job.cache_hits = ctx.evaluation_cache().hits();
-  job.cache_lookups = ctx.evaluation_cache().hits() + ctx.evaluation_cache().misses();
-  job.delta_fallbacks = ctx.workspace().delta_stats().fallbacks;
-  obs::publish_workspace(ctx.workspace(), ctx.evaluation_cache().hits(),
-                         ctx.evaluation_cache().misses(),
-                         ctx.workspace().active_kernel_name(
-                             spec.mcs_options().analysis.kernel));
+  record_engine_metrics(job, ctx);
 
   // Bounds from a non-converged fixed point are not claims the analysis
   // makes, so there is nothing sound to check (mirrors the cross
@@ -161,12 +107,7 @@ constexpr const char* kSpecContext = "validation spec";
     return job;
   }
 
-  core::SystemConfig cfg = candidate.to_config(sys.app);
-  for (std::size_t pi = 0; pi < sys.app.num_processes(); ++pi) {
-    cfg.set_process_offset(
-        util::ProcessId(static_cast<util::ProcessId::underlying_type>(pi)),
-        eval.mcs.analysis.process_offsets[pi]);
-  }
+  const core::SystemConfig cfg = synthesis.config(sys.app);
   sim::SimOptions sim_options;
   sim_options.max_events = spec.max_sim_events;
 
@@ -212,31 +153,17 @@ constexpr const char* kSpecContext = "validation spec";
   return job;
 }
 
-/// Report row for a job the runtime settled without a completed run_job
-/// (watchdog timeout, failure, shed, pending).
-[[nodiscard]] ValidationJob degraded_job(const gen::SuitePoint& point,
-                                         std::size_t job_index,
-                                         const JobDisposition& disposition) {
-  ValidationJob job;
-  job.job_index = job_index;
-  job.dimension = point.dimension;
-  job.replica = point.replica;
-  job.system_seed = point.params.seed;
-  switch (disposition.state) {
-    case RunState::Timeout: job.status = JobStatus::Timeout; break;
-    case RunState::Failed: job.status = JobStatus::Failed; break;
-    case RunState::Shed: job.status = JobStatus::Shed; break;
-    case RunState::Pending: job.status = JobStatus::Pending; break;
+/// The report status of a job the runtime settled without a completed
+/// run_job (watchdog timeout, failure, shed, pending).
+[[nodiscard]] JobStatus to_job_status(RunState state) {
+  switch (state) {
+    case RunState::Timeout: return JobStatus::Timeout;
+    case RunState::Failed: return JobStatus::Failed;
+    case RunState::Shed: return JobStatus::Shed;
+    case RunState::Pending: return JobStatus::Pending;
     case RunState::Done: break;  // not reached: Done keeps run_job's row
   }
-  job.attempts = disposition.attempts;
-  job.error = disposition.error;
-  return job;
-}
-
-void update_signature(util::Fnv1a& h, const std::string& s) {
-  h.update(static_cast<std::uint64_t>(s.size()));
-  for (const char c : s) h.update_byte(static_cast<std::uint8_t>(c));
+  return JobStatus::Ok;
 }
 
 void update_signature(util::Fnv1a& h, const ValidationJob& job) {
@@ -248,18 +175,18 @@ void update_signature(util::Fnv1a& h, const ValidationJob& job) {
   h.update(static_cast<std::uint64_t>(job.messages));
   h.update(static_cast<std::uint64_t>(job.status));
   h.update(static_cast<std::uint64_t>(job.attempts));
-  update_signature(h, job.error);
+  hash_string(h, job.error);
   h.update(static_cast<std::uint64_t>(job.converged ? 1 : 0));
   h.update(static_cast<std::uint64_t>(job.schedulable ? 1 : 0));
   h.update(static_cast<std::uint64_t>(job.bounds_checked ? 1 : 0));
-  update_signature(h, job.skip_reason);
+  hash_string(h, job.skip_reason);
   for (const sim::BoundViolation& v : job.violations) {
-    update_signature(h, v.activity);
+    hash_string(h, v.activity);
     h.update(v.simulated);
     h.update(v.bound);
   }
   for (const ScenarioOutcome& s : job.scenarios) {
-    update_signature(h, s.scenario);
+    hash_string(h, s.scenario);
     h.update(static_cast<std::uint64_t>(s.sim_status));
     h.update(s.deadline_misses);
     h.update(s.messages_lost);
@@ -284,39 +211,6 @@ void update_signature(util::Fnv1a& h, const ValidationJob& job) {
   h.update(job.delta_fallbacks);
 }
 
-[[nodiscard]] std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 const char* to_string(JobStatus status) {
@@ -330,28 +224,10 @@ const char* to_string(JobStatus status) {
   return "?";
 }
 
-core::McsOptions ValidationSpec::mcs_options() const {
-  core::McsOptions options;
-  options.analysis.offset_pruning = !conservative;
-  options.analysis.ttp_queue_model =
-      paper_ttp ? core::TtpQueueModel::PaperFormula : core::TtpQueueModel::Exact;
-  return options;
-}
-
 ValidationSpec parse_validation_spec(std::istream& in) {
   ValidationSpec spec;
-  for (const util::KvEntry& e : util::parse_kv(in, kSpecContext)) {
-    if (e.key == "name") {
-      spec.name = e.value;
-    } else if (e.key == "suite") {
-      spec.suite = e.value;
-    } else if (e.key == "seeds_per_dim") {
-      spec.seeds_per_dim = static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "suite_base_seed") {
-      spec.suite_base_seed = util::kv_u64(e, kSpecContext);
-    } else if (e.key == "campaign_seed") {
-      spec.campaign_seed = util::kv_u64(e, kSpecContext);
-    } else if (e.key == "strategy") {
+  parse_spec(in, kSpecContext, spec, [&spec](const util::KvEntry& e) {
+    if (e.key == "strategy") {
       try {
         spec.strategy = parse_strategy(e.value);
       } catch (const std::invalid_argument& err) {
@@ -362,10 +238,6 @@ ValidationSpec parse_validation_spec(std::istream& in) {
                       "strategy must be sf, os or or (the annealing "
                       "strategies need a start candidate)");
       }
-    } else if (e.key == "conservative") {
-      spec.conservative = util::kv_bool(e, kSpecContext);
-    } else if (e.key == "paper_ttp") {
-      spec.paper_ttp = util::kv_bool(e, kSpecContext);
     } else if (e.key == "scenarios") {
       spec.scenarios.clear();
       for (const std::string& name : util::kv_list(e, kSpecContext)) {
@@ -377,36 +249,16 @@ ValidationSpec parse_validation_spec(std::istream& in) {
       }
     } else if (e.key == "max_sim_events") {
       spec.max_sim_events = static_cast<std::int64_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "jobs") {
-      spec.jobs = static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "job_timeout_ms") {
-      spec.job_timeout_ms = static_cast<std::int64_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "max_retries") {
-      spec.max_retries = util::kv_int(e, kSpecContext);
-    } else if (e.key == "queue_limit") {
-      spec.queue_limit = static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "sa_max_evaluations") {
-      spec.budgets.sa_max_evaluations = util::kv_int(e, kSpecContext);
-    } else if (e.key == "hopa_iterations") {
-      spec.budgets.hopa_iterations = util::kv_int(e, kSpecContext);
-    } else if (e.key == "or_max_seed_starts") {
-      spec.budgets.or_max_seed_starts =
-          static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
-    } else if (e.key == "or_max_climb_iterations") {
-      spec.budgets.or_max_climb_iterations = util::kv_int(e, kSpecContext);
-    } else if (e.key == "or_neighbors_per_step") {
-      spec.budgets.or_neighbors_per_step =
-          static_cast<std::size_t>(util::kv_u64(e, kSpecContext));
     } else {
-      util::kv_fail(kSpecContext, e.line, "unknown key '" + e.key + "'");
+      return false;
     }
-  }
+    return true;
+  });
   return spec;
 }
 
 ValidationSpec parse_validation_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::invalid_argument("cannot open validation spec: " + path);
+  std::ifstream in = open_spec_file(path, kSpecContext);
   return parse_validation_spec(in);
 }
 
@@ -450,43 +302,10 @@ ValidationResult run_validation(const ValidationSpec& spec,
   result.spec = spec;
   result.jobs.resize(suite.size());
 
-  RuntimeOptions runtime;
-  runtime.workers = spec.jobs == 0 ? util::ThreadPool::default_workers() : spec.jobs;
-  runtime.job_timeout_ms = spec.job_timeout_ms;
-  runtime.max_retries = spec.max_retries;
-  runtime.queue_limit = spec.queue_limit;
-  runtime.retry_seed = spec.campaign_seed;
-  runtime.stop = options.stop;
-  runtime.faults = options.faults;
-
-  // Graceful degradation via the job runtime: a throwing job becomes a
-  // `failed` row, a watchdog overrun a `timeout` row, admission control a
-  // `shed` row — never an abort (same contract as run_campaign).
-  RuntimeReport report;
-  const std::vector<JobDisposition> dispositions = run_jobs(
-      runtime, suite.size(),
-      [&](std::size_t i, const util::CancelToken& cancel) {
-        result.jobs[i] = run_job(spec, suite[i], i, cancel);
-      },
-      nullptr,
-      [&](std::size_t i, const JobDisposition& disposition) {
-        if (disposition.state == RunState::Done) {
-          result.jobs[i].attempts = disposition.attempts;
-          if (!disposition.error.empty()) result.jobs[i].error = disposition.error;
-        } else {
-          result.jobs[i] = degraded_job(suite[i], i, disposition);
-        }
-      },
-      &report);
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    if (dispositions[i].state != RunState::Pending) continue;
-    JobDisposition pending = dispositions[i];
-    pending.error = "pending: shutdown requested before the job finished";
-    result.jobs[i] = degraded_job(suite[i], i, pending);
-  }
-
-  result.workers = report.workers;
-  result.interrupted = report.interrupted;
+  run_suite(
+      result, suite, options, nullptr, run_job,
+      [](ValidationJob& job, RunState state) { job.status = to_job_status(state); },
+      [](const ValidationJob&) {});
   result.wall_seconds = seconds_since(start);
   return result;
 }
@@ -562,10 +381,7 @@ void write_json(const ValidationResult& result, std::ostream& out) {
   out << "],\n  \"workers\": " << result.workers << ",\n"
       << "  \"interrupted\": " << (result.interrupted ? "true" : "false") << ",\n"
       << "  \"wall_seconds\": " << result.wall_seconds << ",\n";
-  char sig[32];
-  std::snprintf(sig, sizeof sig, "%016llx",
-                static_cast<unsigned long long>(result.signature()));
-  out << "  \"signature\": \"" << sig << "\",\n"
+  out << "  \"signature\": \"" << hex_digest(result.signature()) << "\",\n"
       << "  \"totals\": {\"jobs\": " << result.jobs.size() << ", \"ok\": "
       << result.count(JobStatus::Ok) << ", \"timeout\": "
       << result.count(JobStatus::Timeout) << ", \"failed\": "
@@ -576,23 +392,15 @@ void write_json(const ValidationResult& result, std::ostream& out) {
 
   for (std::size_t ji = 0; ji < result.jobs.size(); ++ji) {
     const ValidationJob& job = result.jobs[ji];
-    out << "    {\"job\": " << job.job_index << ", \"dimension\": "
-        << job.dimension << ", \"replica\": " << job.replica
-        << ", \"system_seed\": " << job.system_seed << ", \"processes\": "
-        << job.processes << ", \"messages\": " << job.messages
-        << ", \"status\": \"" << to_string(job.status) << "\", \"attempts\": "
+    out << "    {" << JsonRowHead{job} << ", \"status\": \"" << to_string(job.status)
+        << "\", \"attempts\": "
         << job.attempts << ", \"error\": \""
         << json_escape(job.error) << "\", \"converged\": "
         << (job.converged ? "true" : "false") << ", \"schedulable\": "
         << (job.schedulable ? "true" : "false") << ", \"checked\": "
         << (job.bounds_checked ? "true" : "false") << ", \"skip_reason\": \""
         << json_escape(job.skip_reason) << "\", \"seconds\": " << job.seconds
-        << ",\n     \"metrics\": {\"evals\": " << job.evals
-        << ", \"cache_hits\": " << job.cache_hits
-        << ", \"cache_lookups\": " << job.cache_lookups
-        << ", \"cache_hit_rate\": " << job.cache_hit_rate()
-        << ", \"delta_fallbacks\": " << job.delta_fallbacks
-        << "},\n     \"violations\": [";
+        << ",\n     " << JsonMetrics{job} << ",\n     \"violations\": [";
     for (std::size_t vi = 0; vi < job.violations.size(); ++vi) {
       const sim::BoundViolation& v = job.violations[vi];
       out << (vi ? ", " : "") << "{\"activity\": \"" << json_escape(v.activity)

@@ -14,13 +14,12 @@
 //      and records degradation: deadline misses, lost messages, queue
 //      growth beyond the fault-free bounds, residual slack.
 //
-// Graceful campaign degradation: each job runs under a per-job exception
-// guard and a deterministic event budget, so a pathological instance
-// yields a `failed` or `timeout` row in the JSON/CSV report instead of
-// killing the campaign.  The determinism contract of the campaign engine
-// carries over: every field except wall-clock seconds is bit-identical
-// for any `jobs` value (scenario RNG seeds derive from (scenario seed,
-// campaign seed, job index, scenario index) by FNV-1a).
+// Graceful campaign degradation: each job runs under the job runtime and a
+// deterministic event budget, so a pathological instance yields a `failed`
+// or `timeout` row in the JSON/CSV report instead of killing the campaign.
+// The determinism contract of experiment.hpp holds (scenario RNG seeds
+// derive from (scenario seed, campaign seed, job index, scenario index) by
+// FNV-1a).
 #pragma once
 
 #include <cstdint>
@@ -28,44 +27,38 @@
 #include <string>
 #include <vector>
 
-#include "mcs/exp/campaign.hpp"
+#include "mcs/exp/experiment.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/util/table.hpp"
 
 namespace mcs::exp {
 
-/// Declarative description of one validation campaign; parsed from the
-/// same `key = value` format as CampaignSpec (see examples/soundness.validation).
-struct ValidationSpec {
-  std::string name = "validation";
-  std::string suite = "validation";  ///< gen::suite_by_name
-  std::size_t seeds_per_dim = 25;
-  std::uint64_t suite_base_seed = 7000;
-  std::uint64_t campaign_seed = 1;
+/// Declarative description of one validation campaign: the shared
+/// experiment keys (experiment.hpp) plus the synthesis strategy, the fault
+/// scenarios and the simulation event budget.
+struct ValidationSpec : ExperimentSpec {
+  ValidationSpec() {
+    name = "validation";
+    suite = "validation";
+    seeds_per_dim = 25;
+    suite_base_seed = 7000;
+  }
+
   /// Configuration synthesis strategy (Sf, Os or Or; the annealing
   /// strategies need a start candidate and are not meaningful here).
   Strategy strategy = Strategy::Sf;
-  bool conservative = false;
-  bool paper_ttp = false;
   /// Fault scenarios simulated after the fault-free soundness check.
   std::vector<sim::FaultSpec> scenarios;
   /// Per-simulation event budget: a run that exhausts it becomes a
   /// `timeout` row (deterministic, unlike a wall-clock limit).
   std::int64_t max_sim_events = 2'000'000;
-  CampaignBudgets budgets;
-  std::size_t jobs = 1;  ///< worker threads (0 = one per hardware core)
-  /// Resilience knobs, forwarded to the job runtime (job_runtime.hpp).
-  std::int64_t job_timeout_ms = 0;  ///< per-attempt watchdog (0 = off)
-  int max_retries = 0;              ///< transient-failure retries per job
-  std::size_t queue_limit = 0;      ///< admission control (0 = unlimited)
-
-  [[nodiscard]] core::McsOptions mcs_options() const;
 };
 
-/// Spec keys: name, suite, seeds_per_dim, suite_base_seed, campaign_seed,
-/// strategy (sf|os|or), conservative, paper_ttp, scenarios (comma list of
-/// sim::FaultSpec scenario names), max_sim_events, jobs, plus the
-/// CampaignBudgets keys.  Line-numbered std::invalid_argument on errors.
+/// Parses the `key = value` spec format (experiment.hpp's parse_spec) with
+/// the validation keys strategy (sf|os|or), scenarios (comma list of
+/// sim::FaultSpec scenario names) and max_sim_events; see
+/// examples/soundness.validation.  Line-numbered std::invalid_argument
+/// ("validation spec line N: ...") on errors.
 [[nodiscard]] ValidationSpec parse_validation_spec(std::istream& in);
 [[nodiscard]] ValidationSpec parse_validation_spec_file(const std::string& path);
 
@@ -101,19 +94,9 @@ struct ScenarioOutcome {
 };
 
 /// One instance: synthesis verdict, soundness check, degradation rows.
-struct ValidationJob {
-  std::size_t job_index = 0;
-  std::size_t dimension = 0;
-  std::size_t replica = 0;
-  std::uint64_t system_seed = 0;
-  std::size_t processes = 0;
-  std::size_t messages = 0;
+/// `evals` counts the synthesis strategy's evaluations.
+struct ValidationJob : JobRow {
   JobStatus status = JobStatus::Ok;
-  /// Attempts the runtime started (> 1 means transient retries happened).
-  int attempts = 1;
-  /// Failure/timeout/shed reason; for an Ok row after retries, the
-  /// transient error that was overcome.
-  std::string error;
   bool converged = false;
   bool schedulable = false;
   /// True when the fault-free bound assertion actually ran (it is skipped
@@ -125,19 +108,6 @@ struct ValidationJob {
   /// replayable from (suite, system_seed, strategy).
   std::vector<sim::BoundViolation> violations;
   std::vector<ScenarioOutcome> scenarios;
-  double seconds = 0.0;
-  /// Per-job engine metrics (DESIGN.md §7): deterministic, signed.
-  std::uint64_t evals = 0;            ///< synthesis strategy evaluations
-  std::uint64_t cache_hits = 0;       ///< evaluation-cache hits
-  std::uint64_t cache_lookups = 0;    ///< evaluation-cache lookups (hits+misses)
-  std::uint64_t delta_fallbacks = 0;  ///< delta runs that fell back to cold
-
-  /// Cache hit rate in [0,1] (0 when the job never consulted the cache).
-  [[nodiscard]] double cache_hit_rate() const {
-    return cache_lookups == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(cache_lookups);
-  }
 
   /// FNV-1a over every deterministic field (seconds excluded).
   [[nodiscard]] std::uint64_t signature() const;
@@ -159,12 +129,7 @@ struct ValidationResult {
   [[nodiscard]] util::Table summary_table() const;
 };
 
-/// Execution-time knobs (shutdown, fault injection); none affect a
-/// finished run's deterministic fields.
-struct ValidationRunOptions {
-  const std::atomic<bool>* stop = nullptr;  ///< graceful shutdown flag
-  std::vector<RuntimeFault> faults;         ///< test-only fault injection
-};
+using ValidationRunOptions = RunControl;
 
 /// Runs the validation campaign on `spec.jobs` worker threads.  All
 /// deterministic fields are bit-identical for any thread count.

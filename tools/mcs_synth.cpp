@@ -1,90 +1,24 @@
-// mcs_synth — command-line synthesis driver.
+// mcs_synth — command-line synthesis driver.  Three modes, one per run:
 //
-// Single-system mode:
+//   mcs_synth <system.mcs> [--strategy sf|os|or] [--simulate] ...
+//       synthesize one system (grammar: src/gen/textio.hpp, sample:
+//       examples/paper_example.mcs) and print the schedulability verdict,
+//       per-graph response times and worst-case buffer needs;
+//   mcs_synth --campaign <spec> [--jobs N] [--journal F | --resume F] ...
+//       run a parallel multi-seed sweep (src/exp/campaign.hpp, DESIGN.md §4);
+//   mcs_synth --validate <spec> [--faults F] [--jobs N] ...
+//       run a soundness-fuzzing and fault sweep (src/exp/validation.hpp,
+//       DESIGN.md §5); exit status 1 on any fault-free bound violation.
 //
-//   mcs_synth <system.mcs> [options]
-//
-//   --strategy sf|os|or     synthesis strategy (default: or)
-//   --conservative          disable offset/precedence pruning
-//   --paper-ttp             use the paper's closed-form OutTTP model
-//   --simulate              validate the result with the discrete-event
-//                           simulator and report observed vs bound
-//   --faults <spec>         with --simulate: additionally run the fault
-//                           scenario described by the key=value spec file
-//                           (examples/drop.faults) and report degradation
-//   --sim-trace             print the simulation trace (implies --simulate)
-//   --dump-config           print the synthesized configuration (slots,
-//                           priorities, schedule table)
-//   --stats                 print evaluation-engine counters after the
-//                           run: active analysis kernel, DeltaStats
-//                           (memo-eligible runs/fallbacks/memo hits/
-//                           elided iterations/skips),
-//                           candidate-list cache hit rate, evaluation
-//                           cache hit rate, scratch footprint
-//
-// Observability (every mode, DESIGN.md §7):
-//
-//   --trace <file>          write a Chrome trace-event JSON span trace of
-//                           the run (campaign jobs, optimizer phases,
-//                           sampled fixed-point iterations); load it in
-//                           chrome://tracing or ui.perfetto.dev
-//   --metrics <file>        write one JSON snapshot of the metrics
-//                           registry (counters, gauges, histograms) at
-//                           the end of the run
-//   --log-level <lvl>       debug|info|warn|error|off; overrides the
-//                           MCS_LOG_LEVEL environment variable
-//
-// Arming --trace/--metrics cannot change any result: every campaign and
-// validation signature is bit-identical with observability on or off
-// (tests/obs/zero_interference_test.cpp, bench_observability.cpp).
-//
-// Campaign mode (parallel multi-seed/multi-suite sweeps, see
-// src/exp/campaign.hpp and DESIGN.md §4):
-//
-//   mcs_synth --campaign <spec> [--jobs N] [--report-json F] [--report-csv F]
-//             [--journal F | --resume F] [--job-timeout-ms N]
-//             [--max-retries N] [--queue-limit N]
-//
-//   --campaign <spec>       run the campaign described by the key=value
-//                           spec file (examples/tiny.campaign is a sample)
-//   --jobs N                worker threads (overrides the spec; 0 = one
-//                           per hardware core)
-//   --report-json <file>    write the full per-job JSON report
-//   --report-csv <file>     write the per-(job, strategy) CSV report
-//   --journal <file>        append every settled job to a crash-safe
-//                           checkpoint journal (src/exp/journal.hpp)
-//   --resume <file>         resume from a journal written by --journal:
-//                           recovered jobs are not re-run and the merged
-//                           report signature equals an uninterrupted run's
-//   --job-timeout-ms N      per-attempt watchdog deadline (overrides the
-//                           spec; 0 = off): overruns become `timeout` rows
-//   --max-retries N         retry transient job failures up to N times
-//                           (deterministic FNV-derived backoff)
-//   --queue-limit N         shed jobs with index >= N as `shed` rows
-//
-// SIGINT/SIGTERM drain the run gracefully: in-flight jobs are cancelled,
-// settled rows are journaled, a partial report is written, and the exit
-// code is 4 (resume with --resume).  A second signal kills immediately.
-//
-// Validation mode (campaign-scale soundness fuzzing + fault sweeps, see
-// src/exp/validation.hpp and DESIGN.md §5):
-//
-//   mcs_synth --validate <spec> [--faults F] [--jobs N] [--report-json F]
-//             [--report-csv F]
-//
-//   --validate <spec>       run the validation campaign described by the
-//                           key=value spec file (examples/soundness.validation);
-//                           exit status 1 when any analytic bound was
-//                           violated on a fault-free run (a soundness bug)
-//   --faults <spec>         append the fault scenario in the spec file to
-//                           the campaign's scenario list
-//
-// Reads a plain-text system description (see src/gen/textio.hpp for the
-// grammar and examples/paper_example.mcs for a sample), synthesizes a
-// configuration and prints the schedulability verdict, per-graph response
-// times and worst-case buffer needs.
+// usage() below lists every flag and exit code; README.md ("mcs_synth
+// CLI") explains each one.  --trace/--metrics work in every mode and
+// cannot change any result (tests/obs/zero_interference_test.cpp).
+// SIGINT/SIGTERM drain a campaign or validation run gracefully: in-flight
+// jobs are cancelled, settled rows are journaled, a partial report is
+// written and the exit code is 4; a second signal kills immediately.
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -94,9 +28,8 @@
 #include <iostream>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
-#include "mcs/core/optimize_resources.hpp"
-#include "mcs/core/straightforward.hpp"
 #include "mcs/exp/campaign.hpp"
 #include "mcs/exp/journal.hpp"
 #include "mcs/exp/validation.hpp"
@@ -134,7 +67,7 @@ void install_signal_handlers() {
 
 struct Options {
   std::string path;
-  std::string strategy = "or";
+  exp::Strategy strategy = exp::Strategy::Or;
   bool conservative = false;
   bool paper_ttp = false;
   bool simulate = false;
@@ -147,14 +80,15 @@ struct Options {
   std::string campaign;  ///< spec path; non-empty selects campaign mode
   std::string validate;  ///< spec path; non-empty selects validation mode
   std::string faults;    ///< fault-spec path (single-system or validation)
-  std::optional<std::size_t> jobs;
   std::string report_json;
   std::string report_csv;
   std::string journal;  ///< campaign checkpoint journal to write
   std::string resume;   ///< campaign journal to resume from (implies journal)
-  std::optional<std::int64_t> job_timeout_ms;
-  std::optional<int> max_retries;
-  std::optional<std::size_t> queue_limit;
+  /// Job-runtime overrides of the spec's keys, each within its bound.
+  std::optional<std::uint64_t> jobs;
+  std::optional<std::uint64_t> job_timeout_ms;
+  std::optional<std::uint64_t> max_retries;
+  std::optional<std::uint64_t> queue_limit;
 };
 
 void usage() {
@@ -196,6 +130,28 @@ bool parse_count_flag(const char* flag, const char* text,
   return true;
 }
 
+/// Flags that take a file path.
+constexpr std::pair<const char*, std::string Options::*> kPathFlags[] = {
+    {"--campaign", &Options::campaign},     {"--validate", &Options::validate},
+    {"--faults", &Options::faults},         {"--journal", &Options::journal},
+    {"--resume", &Options::resume},         {"--report-json", &Options::report_json},
+    {"--report-csv", &Options::report_csv}, {"--trace", &Options::trace_json},
+    {"--metrics", &Options::metrics_json}};
+
+/// Flags that take a bounded count: the job-runtime overrides.  Garbage,
+/// negatives and absurd counts are rejected instead of silently wrapping
+/// ("-1") or defaulting to all cores ("abc" -> 0).
+struct CountFlag {
+  const char* flag;
+  std::optional<std::uint64_t> Options::*slot;
+  std::uint64_t max;
+};
+constexpr CountFlag kCountFlags[] = {
+    {"--jobs", &Options::jobs, exp::kMaxJobs},
+    {"--job-timeout-ms", &Options::job_timeout_ms, exp::kMaxJobTimeoutMs},
+    {"--max-retries", &Options::max_retries, exp::kMaxRetries},
+    {"--queue-limit", &Options::queue_limit, exp::kMaxQueueLimit}};
+
 /// Returns 0 when parsing succeeded, or the process exit code to use:
 /// 2 for a usage error (unknown flag / wrong mode combination; caller
 /// prints usage), 3 for a malformed flag value (one-line error already
@@ -203,69 +159,34 @@ bool parse_count_flag(const char* flag, const char* text,
 int parse_args(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto path_flag = std::find_if(std::begin(kPathFlags), std::end(kPathFlags),
+                                        [&arg](const auto& f) { return arg == f.first; });
+    const auto count_flag =
+        std::find_if(std::begin(kCountFlags), std::end(kCountFlags),
+                     [&arg](const CountFlag& f) { return arg == f.flag; });
     if (arg == "--version") {
       // The default kernel request; per system it runs on Reference when
       // a period is not magic-encodable (see --stats).
       std::printf("mcs_synth %s (analysis kernel: %s)\n", kVersion,
                   core::kernel_name(core::AnalysisOptions{}.kernel));
       std::exit(0);
-    } else if (arg == "--campaign") {
+    } else if (path_flag != std::end(kPathFlags)) {
       if (++i >= argc) return 2;
-      options.campaign = argv[i];
-    } else if (arg == "--validate") {
+      options.*(path_flag->second) = argv[i];
+    } else if (count_flag != std::end(kCountFlags)) {
       if (++i >= argc) return 2;
-      options.validate = argv[i];
-    } else if (arg == "--faults") {
-      if (++i >= argc) return 2;
-      options.faults = argv[i];
-    } else if (arg == "--jobs") {
-      if (++i >= argc) return 2;
-      // Reject garbage, negatives and absurd counts instead of silently
-      // wrapping ("-1") or defaulting to all cores ("abc" -> 0).
-      unsigned long long jobs = 0;
-      if (!parse_count_flag("--jobs", argv[i], 4096, jobs)) return 3;
-      options.jobs = static_cast<std::size_t>(jobs);
-    } else if (arg == "--journal") {
-      if (++i >= argc) return 2;
-      options.journal = argv[i];
-    } else if (arg == "--resume") {
-      if (++i >= argc) return 2;
-      options.resume = argv[i];
-    } else if (arg == "--job-timeout-ms") {
-      if (++i >= argc) return 2;
-      unsigned long long ms = 0;
-      // A week-long deadline bound keeps the watchdog arithmetic safe.
-      if (!parse_count_flag("--job-timeout-ms", argv[i], 604'800'000ULL, ms)) {
-        return 3;
-      }
-      options.job_timeout_ms = static_cast<std::int64_t>(ms);
-    } else if (arg == "--max-retries") {
-      if (++i >= argc) return 2;
-      unsigned long long retries = 0;
-      if (!parse_count_flag("--max-retries", argv[i], 100, retries)) return 3;
-      options.max_retries = static_cast<int>(retries);
-    } else if (arg == "--queue-limit") {
-      if (++i >= argc) return 2;
-      unsigned long long limit = 0;
-      if (!parse_count_flag("--queue-limit", argv[i], 1'000'000'000ULL, limit)) {
-        return 3;
-      }
-      options.queue_limit = static_cast<std::size_t>(limit);
-    } else if (arg == "--report-json") {
-      if (++i >= argc) return 2;
-      options.report_json = argv[i];
-    } else if (arg == "--report-csv") {
-      if (++i >= argc) return 2;
-      options.report_csv = argv[i];
+      unsigned long long value = 0;
+      if (!parse_count_flag(count_flag->flag, argv[i], count_flag->max, value)) return 3;
+      options.*(count_flag->slot) = value;
     } else if (arg == "--strategy") {
       if (++i >= argc) return 2;
-      options.strategy = argv[i];
-      if (options.strategy != "sf" && options.strategy != "os" &&
-          options.strategy != "or") {
+      const std::string name = argv[i];
+      if (name != "sf" && name != "os" && name != "or") {
         std::fprintf(stderr, "error: --strategy expects sf, os or or, got '%s'\n",
                      argv[i]);
         return 3;
       }
+      options.strategy = exp::parse_strategy(name);
     } else if (arg == "--conservative") {
       options.conservative = true;
     } else if (arg == "--paper-ttp") {
@@ -275,12 +196,6 @@ int parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--sim-trace") {
       options.simulate = true;
       options.sim_trace = true;
-    } else if (arg == "--trace") {
-      if (++i >= argc) return 2;
-      options.trace_json = argv[i];
-    } else if (arg == "--metrics") {
-      if (++i >= argc) return 2;
-      options.metrics_json = argv[i];
     } else if (arg == "--log-level") {
       if (++i >= argc) return 2;
       try {
@@ -321,12 +236,43 @@ int parse_args(int argc, char** argv, Options& options) {
   return 0;
 }
 
+/// The job-runtime flags override the spec file's keys.
+void apply_overrides(const Options& options, exp::ExperimentSpec& spec) {
+  if (options.jobs) spec.jobs = static_cast<std::size_t>(*options.jobs);
+  if (options.job_timeout_ms) {
+    spec.job_timeout_ms = static_cast<std::int64_t>(*options.job_timeout_ms);
+  }
+  if (options.max_retries) spec.max_retries = static_cast<int>(*options.max_retries);
+  if (options.queue_limit) {
+    spec.queue_limit = static_cast<std::size_t>(*options.queue_limit);
+  }
+}
+
+/// Writes the --report-json/--report-csv files; false when one cannot be
+/// opened (the error is printed).
+template <class Result>
+bool write_reports(const Options& options, const Result& result) {
+  const auto write = [&result](const std::string& path, bool json) {
+    if (path.empty()) return true;
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      return false;
+    }
+    if (json) {
+      exp::write_json(result, out);
+    } else {
+      exp::write_csv(result, out);
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+  };
+  return write(options.report_json, true) && write(options.report_csv, false);
+}
+
 int run_campaign_mode(const Options& options) {
   exp::CampaignSpec spec = exp::parse_campaign_spec_file(options.campaign);
-  if (options.jobs) spec.jobs = *options.jobs;
-  if (options.job_timeout_ms) spec.job_timeout_ms = *options.job_timeout_ms;
-  if (options.max_retries) spec.max_retries = *options.max_retries;
-  if (options.queue_limit) spec.queue_limit = *options.queue_limit;
+  apply_overrides(options, spec);
 
   exp::CampaignRunOptions run;
   run.journal_path = options.resume.empty() ? options.journal : options.resume;
@@ -346,24 +292,7 @@ int run_campaign_mode(const Options& options) {
   std::printf("\nsignature: %016llx (thread-count invariant)\n",
               static_cast<unsigned long long>(result.signature()));
 
-  if (!options.report_json.empty()) {
-    std::ofstream out(options.report_json);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_json.c_str());
-      return 1;
-    }
-    exp::write_json(result, out);
-    std::printf("wrote %s\n", options.report_json.c_str());
-  }
-  if (!options.report_csv.empty()) {
-    std::ofstream out(options.report_csv);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_csv.c_str());
-      return 1;
-    }
-    exp::write_csv(result, out);
-    std::printf("wrote %s\n", options.report_csv.c_str());
-  }
+  if (!write_reports(options, result)) return 1;
   if (result.interrupted) {
     std::printf("interrupted: drained in-flight jobs, %s; "
                 "re-run with --resume to finish\n",
@@ -379,10 +308,7 @@ int run_validation_mode(const Options& options) {
   if (!options.faults.empty()) {
     spec.scenarios.push_back(sim::parse_fault_spec_file(options.faults));
   }
-  if (options.jobs) spec.jobs = *options.jobs;
-  if (options.job_timeout_ms) spec.job_timeout_ms = *options.job_timeout_ms;
-  if (options.max_retries) spec.max_retries = *options.max_retries;
-  if (options.queue_limit) spec.queue_limit = *options.queue_limit;
+  apply_overrides(options, spec);
 
   exp::ValidationRunOptions run;
   run.stop = &g_stop;
@@ -417,24 +343,7 @@ int run_validation_mode(const Options& options) {
     }
   }
 
-  if (!options.report_json.empty()) {
-    std::ofstream out(options.report_json);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_json.c_str());
-      return 1;
-    }
-    exp::write_json(result, out);
-    std::printf("wrote %s\n", options.report_json.c_str());
-  }
-  if (!options.report_csv.empty()) {
-    std::ofstream out(options.report_csv);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", options.report_csv.c_str());
-      return 1;
-    }
-    exp::write_csv(result, out);
-    std::printf("wrote %s\n", options.report_csv.c_str());
-  }
+  if (!write_reports(options, result)) return 1;
   if (result.interrupted) {
     std::printf("interrupted: drained in-flight jobs, partial report only\n");
     return 4;
@@ -442,8 +351,10 @@ int run_validation_mode(const Options& options) {
   return result.total_violations() == 0 ? 0 : 1;
 }
 
-void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
-            const core::Evaluation& eval, const Options& options) {
+void report(const gen::ParsedSystem& sys, const exp::Synthesis& synthesis,
+            const Options& options) {
+  const core::Candidate& candidate = synthesis.candidate;
+  const core::Evaluation& eval = synthesis.evaluation;
   const auto& analysis = eval.mcs.analysis;
   std::printf("verdict: %s\n", eval.schedulable ? "SCHEDULABLE" : "NOT schedulable");
 
@@ -500,12 +411,7 @@ void report(const gen::ParsedSystem& sys, const core::Candidate& candidate,
   }
 
   if (options.simulate) {
-    core::SystemConfig cfg = candidate.to_config(sys.app);
-    for (std::size_t pi = 0; pi < sys.app.num_processes(); ++pi) {
-      cfg.set_process_offset(
-          util::ProcessId(static_cast<util::ProcessId::underlying_type>(pi)),
-          analysis.process_offsets[pi]);
-    }
+    const core::SystemConfig cfg = synthesis.config(sys.app);
     sim::SimOptions sim_options;
     sim_options.record_trace = options.sim_trace;
     const auto sim = sim::simulate(sys.app, sys.platform, cfg,
@@ -624,29 +530,15 @@ int run(Options options) {
       std::fprintf(stderr, "%s", validation.to_string().c_str());
     }
 
-    core::McsOptions mcs_options;
-    mcs_options.analysis.offset_pruning = !options.conservative;
-    mcs_options.analysis.ttp_queue_model = options.paper_ttp
-                                               ? core::TtpQueueModel::PaperFormula
-                                               : core::TtpQueueModel::Exact;
+    const core::McsOptions mcs_options =
+        exp::mcs_options_for(options.conservative, options.paper_ttp);
     const core::MoveContext ctx(sys.app, sys.platform, mcs_options);
-
-    if (options.strategy == "sf") {
-      const auto sf = core::straightforward(ctx);
-      report(sys, sf.candidate, sf.evaluation, options);
-      if (options.stats) print_stats(ctx, mcs_options);
-      return sf.evaluation.schedulable ? 0 : 1;
-    }
-    if (options.strategy == "os") {
-      const auto os = core::optimize_schedule(ctx);
-      report(sys, os.best, os.best_eval, options);
-      if (options.stats) print_stats(ctx, mcs_options);
-      return os.best_eval.schedulable ? 0 : 1;
-    }
-    const auto orr = core::optimize_resources(ctx);
-    report(sys, orr.best, orr.best_eval, options);
+    // The optimizers' own default budgets, not a spec's.
+    const exp::Synthesis synthesis =
+        exp::synthesize(ctx, options.strategy, core::OptimizeResourcesOptions{});
+    report(sys, synthesis, options);
     if (options.stats) print_stats(ctx, mcs_options);
-    return orr.best_eval.schedulable ? 0 : 1;
+    return synthesis.evaluation.schedulable ? 0 : 1;
   } catch (const exp::JournalError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 5;
@@ -660,25 +552,21 @@ int run(Options options) {
 /// A failed write turns an otherwise-clean exit into code 1, but never
 /// masks a real failure code from the run itself.
 int finalize_observability(const Options& options, int code) {
-  if (!options.trace_json.empty()) {
-    obs::stop_tracing();
-    std::ofstream out(options.trace_json, std::ios::binary);
-    if (out) obs::write_chrome_trace(out);
+  const auto write = [&code](const std::string& path, const char* what, auto writer) {
+    if (path.empty()) return;
+    std::ofstream out(path, std::ios::binary);
+    if (out) writer(out);
     if (!out || !out.flush()) {
-      std::fprintf(stderr, "error: failed to write trace to '%s'\n",
-                   options.trace_json.c_str());
+      std::fprintf(stderr, "error: failed to write %s to '%s'\n", what, path.c_str());
       if (code == 0) code = 1;
     }
-  }
-  if (!options.metrics_json.empty()) {
-    std::ofstream out(options.metrics_json, std::ios::binary);
-    if (out) obs::write_metrics_json(obs::snapshot_metrics(), out);
-    if (!out || !out.flush()) {
-      std::fprintf(stderr, "error: failed to write metrics to '%s'\n",
-                   options.metrics_json.c_str());
-      if (code == 0) code = 1;
-    }
-  }
+  };
+  if (!options.trace_json.empty()) obs::stop_tracing();
+  write(options.trace_json, "trace",
+        [](std::ostream& out) { obs::write_chrome_trace(out); });
+  write(options.metrics_json, "metrics", [](std::ostream& out) {
+    obs::write_metrics_json(obs::snapshot_metrics(), out);
+  });
   return code;
 }
 
