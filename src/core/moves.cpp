@@ -103,13 +103,39 @@ const std::vector<Time>& MoveContext::slot_lengths(NodeId owner) const {
   return slot_lengths_by_node_.at(owner.index());
 }
 
+namespace {
+
+/// Heap bytes behind one Evaluation's containers (capacities, not sizes;
+/// a map node is counted as its value plus the red-black header).
+std::size_t heap_bytes(const Evaluation& eval) {
+  const sched::TtcSchedule& s = eval.mcs.schedule;
+  const AnalysisResult& a = eval.mcs.analysis;
+  std::size_t words = s.process_start.capacity();
+  for (const std::vector<Time>* v :
+       {&a.process_offsets, &a.message_offsets, &a.process_response,
+        &a.process_jitter, &a.process_interference, &a.message_response,
+        &a.message_jitter, &a.message_queue_delay, &a.message_ttp_wait,
+        &a.message_bytes_ahead, &a.message_delivery, &a.graph_response}) {
+    words += v->capacity();
+  }
+  std::size_t bytes = words * sizeof(Time) +
+                      s.message_slot.capacity() * sizeof(s.message_slot[0]) +
+                      s.problems.capacity() * sizeof(std::string);
+  for (const std::string& p : s.problems) bytes += p.capacity();
+  using Node = decltype(a.buffers.out_node)::value_type;
+  return bytes + a.buffers.out_node.size() * (sizeof(Node) + 4 * sizeof(void*));
+}
+
+}  // namespace
+
 const Evaluation* EvaluationCache::find(std::uint64_t hash,
                                         const std::vector<std::int64_t>& key) {
-  const auto it = entries_.find(hash);
-  if (it != entries_.end() && it->second.key == key) {
-    it->second.last_used = ++clock_;
-    ++hits_;
-    return &it->second.eval;
+  for (Slot& slot : slots_) {
+    if (slot.hash == hash && slot.key == key) {
+      slot.last_used = ++clock_;
+      ++hits_;
+      return &slot.eval;
+    }
   }
   ++misses_;
   return nullptr;
@@ -119,21 +145,30 @@ void EvaluationCache::insert(std::uint64_t hash,
                              const std::vector<std::int64_t>& key,
                              const Evaluation& eval) {
   if (capacity_ == 0) return;
-  // A full-hash collision with a different key overwrites the slot: rarer
-  // than eviction and still correct (find() compares the full key).
-  if (entries_.size() >= capacity_ && entries_.find(hash) == entries_.end()) {
-    auto victim = std::min_element(entries_.begin(), entries_.end(),
-                                   [](const auto& a, const auto& b) {
-                                     return a.second.last_used < b.second.last_used;
-                                   });
-    entries_.erase(victim);
+  if (slots_.size() < capacity_) {
+    slots_.push_back(Slot{hash, key, eval, ++clock_});
+    return;
   }
-  entries_[hash] = Entry{key, eval, ++clock_};
+  Slot& victim = *std::min_element(
+      slots_.begin(), slots_.end(),
+      [](const Slot& a, const Slot& b) { return a.last_used < b.last_used; });
+  victim.hash = hash;
+  victim.key = key;    // copy-assignment keeps the slot's buffers
+  victim.eval = eval;
+  victim.last_used = ++clock_;
 }
 
 void EvaluationCache::clear() {
-  entries_.clear();
+  slots_.clear();
   clock_ = hits_ = misses_ = 0;
+}
+
+std::size_t EvaluationCache::footprint_bytes() const noexcept {
+  std::size_t total = slots_.capacity() * sizeof(Slot);
+  for (const Slot& slot : slots_) {
+    total += slot.key.capacity() * sizeof(std::int64_t) + heap_bytes(slot.eval);
+  }
+  return total;
 }
 
 void MoveContext::encode_genotype(const Candidate& candidate,

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -76,36 +75,45 @@ using Move = std::variant<ShiftProcessMove, ShiftMessageMove,
 [[nodiscard]] std::string to_string(const Move& move);
 
 /// Bounded memoization of candidate evaluations, keyed by the genotype
-/// encoded as flat words and hashed with FNV-1a.  A hash hit is confirmed
+/// encoded as flat words and hashed with FNV-1a.  The cache is a fixed
+/// array of `capacity` slots scanned linearly; a hash match is confirmed
 /// by a full key compare, so collisions can never return a wrong
-/// Evaluation.  Eviction is least-recently-used (exact, via an access
-/// stamp; the linear eviction scan is noise next to one saved fixed
-/// point).
+/// Evaluation.  Eviction is exact least-recently-used (an access stamp
+/// per slot), and an evicted slot is overwritten by copy-assignment, so a
+/// steady-state miss reuses the slot's buffers instead of allocating.
+/// The default capacity covers the reuse distances the searches show
+/// (DESIGN.md §1).
 class EvaluationCache {
 public:
-  explicit EvaluationCache(std::size_t capacity = 1024) : capacity_(capacity) {}
+  explicit EvaluationCache(std::size_t capacity = 32) : capacity_(capacity) {}
 
-  /// Returns the cached evaluation for `key` or nullptr.
+  /// Returns the cached evaluation for `key` or nullptr.  The pointer
+  /// stays valid until the next insert() or clear().
   [[nodiscard]] const Evaluation* find(std::uint64_t hash,
                                        const std::vector<std::int64_t>& key);
+  /// Stores `eval` for a `key` that find() just missed.
   void insert(std::uint64_t hash, const std::vector<std::int64_t>& key,
               const Evaluation& eval);
   void clear();
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
 
+  /// Heap footprint of the slots (memory-stability tests).
+  [[nodiscard]] std::size_t footprint_bytes() const noexcept;
+
 private:
-  struct Entry {
+  struct Slot {
+    std::uint64_t hash = 0;
     std::vector<std::int64_t> key;
     Evaluation eval;
     std::uint64_t last_used = 0;
   };
 
   std::size_t capacity_;
-  std::unordered_map<std::uint64_t, Entry> entries_;  ///< keyed by FNV-1a
+  std::vector<Slot> slots_;  ///< grows to capacity_, then slots are reused
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -122,10 +130,9 @@ private:
 class MoveContext {
 public:
   /// `eval_cache_capacity` bounds the memoized-Evaluation count; each
-  /// entry deep-copies a full McsResult, so searches over very large
-  /// systems may want a smaller cache (0 disables memoization).
+  /// slot holds a full McsResult (0 disables memoization).
   MoveContext(const model::Application& app, const arch::Platform& platform,
-              McsOptions mcs_options, std::size_t eval_cache_capacity = 1024);
+              McsOptions mcs_options, std::size_t eval_cache_capacity = 32);
 
   [[nodiscard]] const model::Application& app() const noexcept { return app_; }
   [[nodiscard]] const arch::Platform& platform() const noexcept { return platform_; }

@@ -50,11 +50,14 @@ OptimizeScheduleResult optimize_schedule(const MoveContext& ctx,
   Candidate current = result.best;
 
   // Evaluate a candidate: HOPA priorities for its beta, then one full
-  // evaluation for the buffer/schedulability metrics.
+  // evaluation for the buffer/schedulability metrics.  HOPA ranks under
+  // the same analysis options the evaluation runs.
+  HopaOptions hopa_options = options.hopa;
+  hopa_options.mcs = ctx.mcs_options();
   auto evaluate_with_hopa = [&](Candidate& cand) -> Evaluation {
     if (options.cancel) options.cancel->throw_if_cancelled();
     const HopaResult hopa = hopa_priorities(app, platform, cand.tdma,
-                                            ctx.workspace(), options.hopa);
+                                            ctx.workspace(), hopa_options);
     cand.process_priorities = hopa.process_priorities;
     cand.message_priorities = hopa.message_priorities;
     result.evaluations += hopa.iterations + 1;

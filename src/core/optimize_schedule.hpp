@@ -25,7 +25,9 @@ struct SeedSolution {
 };
 
 struct OptimizeScheduleOptions {
-  HopaOptions hopa;             ///< priority assignment per tried config
+  /// Priority assignment per tried config.  `hopa.mcs` is ignored: HOPA
+  /// analyzes under the MoveContext's options, like every evaluation.
+  HopaOptions hopa;
   std::size_t max_seeds = 8;    ///< seed_solutions list capacity
   /// Upper bound on slot lengths tried per (position, node) pair.
   std::size_t max_lengths_per_slot = 6;

@@ -11,11 +11,8 @@
 
 namespace mcs::exp {
 
-namespace {
-
-/// A count no larger than `max` (the job-runtime bounds above).
-[[nodiscard]] std::uint64_t kv_count(const util::KvEntry& e, const std::string& context,
-                                     std::uint64_t max) {
+std::uint64_t kv_count(const util::KvEntry& e, const std::string& context,
+                       std::uint64_t max) {
   const std::uint64_t value = util::kv_u64(e, context);
   if (value > max) {
     util::kv_fail(context, e.line,
@@ -25,6 +22,8 @@ namespace {
   return value;
 }
 
+namespace {
+
 /// Applies `e` when it names a shared key; false for any other key.
 [[nodiscard]] bool parse_shared_key(ExperimentSpec& spec, const util::KvEntry& e,
                                     const std::string& context) {
@@ -33,7 +32,7 @@ namespace {
   } else if (e.key == "suite") {
     spec.suite = e.value;
   } else if (e.key == "seeds_per_dim") {
-    spec.seeds_per_dim = static_cast<std::size_t>(util::kv_u64(e, context));
+    spec.seeds_per_dim = static_cast<std::size_t>(kv_count(e, context, kMaxSeedsPerDim));
   } else if (e.key == "suite_base_seed") {
     spec.suite_base_seed = util::kv_u64(e, context);
   } else if (e.key == "campaign_seed") {

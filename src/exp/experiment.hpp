@@ -56,6 +56,17 @@ inline constexpr std::uint64_t kMaxJobs = 4096;
 inline constexpr std::uint64_t kMaxJobTimeoutMs = 604'800'000;
 inline constexpr std::uint64_t kMaxRetries = 100;
 inline constexpr std::uint64_t kMaxQueueLimit = 1'000'000'000;
+/// Upper bounds of the suite and simulation keys.  The suite generators
+/// materialize every point before a job runs, so seeds_per_dim caps the
+/// suite's memory (a paper-scale sweep uses 30); the event budget stays
+/// far inside the simulator's signed counter (the default is 2'000'000).
+inline constexpr std::uint64_t kMaxSeedsPerDim = 100'000;
+inline constexpr std::uint64_t kMaxSimEvents = 1'000'000'000'000;
+
+/// Reads `e` as a count in 0..`max`; anything else fails as
+/// `<context> line N: <key> expects a count in 0..<max>, got '<value>'`.
+[[nodiscard]] std::uint64_t kv_count(const util::KvEntry& e, const std::string& context,
+                                     std::uint64_t max);
 
 /// Search budgets (the defaults match bench_common.hpp's laptop profile).
 struct CampaignBudgets {

@@ -248,7 +248,8 @@ ValidationSpec parse_validation_spec(std::istream& in) {
         }
       }
     } else if (e.key == "max_sim_events") {
-      spec.max_sim_events = static_cast<std::int64_t>(util::kv_u64(e, kSpecContext));
+      spec.max_sim_events =
+          static_cast<std::int64_t>(kv_count(e, kSpecContext, kMaxSimEvents));
     } else {
       return false;
     }

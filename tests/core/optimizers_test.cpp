@@ -9,6 +9,7 @@
 #include "mcs/core/optimize_schedule.hpp"
 #include "mcs/core/simulated_annealing.hpp"
 #include "mcs/core/straightforward.hpp"
+#include "mcs/gen/generator.hpp"
 #include "mcs/gen/paper_example.hpp"
 
 namespace mcs::core {
@@ -161,6 +162,48 @@ TEST(OptimizeSchedule, SeedsAreSortedSchedulableFirst) {
     if (!seed.schedulable) seen_unschedulable = true;
     if (seed.schedulable) EXPECT_FALSE(seen_unschedulable);
   }
+}
+
+// OS ranks priorities with HOPA under the analysis its candidates are
+// evaluated under: with conservative (pruning off) and paper-TTP options,
+// the best candidate carries exactly the priorities HOPA returns for its
+// TDMA round under those options.  At least one system must rank
+// differently under the default options, or the check proves nothing.
+TEST(OptimizeSchedule, HopaRunsUnderTheContextsAnalysisOptions) {
+  McsOptions analysis;
+  analysis.analysis.offset_pruning = false;
+  analysis.analysis.ttp_queue_model = TtpQueueModel::PaperFormula;
+  int differs_from_default = 0;
+  for (const std::uint64_t seed : {2u, 4u, 7u}) {
+    SCOPED_TRACE(seed);
+    gen::GeneratorParams params;
+    params.tt_nodes = 2;
+    params.et_nodes = 2;
+    params.processes_per_node = 10;
+    params.processes_per_graph = 20;
+    params.seed = seed;
+    const auto sys = gen::generate(params);
+    const MoveContext ctx(sys.app, sys.platform, analysis);
+    OptimizeScheduleOptions options;
+    options.hopa.max_iterations = 3;
+    const auto os = optimize_schedule(ctx, options);
+
+    const model::ReachabilityIndex reach(sys.app);
+    HopaOptions hopa_options = options.hopa;
+    hopa_options.mcs = analysis;
+    const auto hopa =
+        hopa_priorities(sys.app, sys.platform, os.best.tdma, reach, hopa_options);
+    EXPECT_EQ(os.best.process_priorities, hopa.process_priorities);
+    EXPECT_EQ(os.best.message_priorities, hopa.message_priorities);
+
+    const auto by_default =
+        hopa_priorities(sys.app, sys.platform, os.best.tdma, reach, options.hopa);
+    if (by_default.process_priorities != hopa.process_priorities ||
+        by_default.message_priorities != hopa.message_priorities) {
+      ++differs_from_default;
+    }
+  }
+  EXPECT_GT(differs_from_default, 0);
 }
 
 TEST(OptimizeResources, NeverWorseThanOptimizeSchedule) {

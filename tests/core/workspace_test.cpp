@@ -362,6 +362,102 @@ TEST(EvaluationCache, MemoizedEvaluationEqualsRecomputed) {
   EXPECT_EQ(ctx.evaluation_cache().hits(), family.size());
 }
 
+/// `count` distinct candidates: the initial one with one TT process or one
+/// TT message pin moved, cycling through the pinnable activities.
+std::vector<Candidate> distinct_candidates(const MoveContext& ctx, std::size_t count) {
+  const Candidate base = Candidate::initial(ctx.app(), ctx.platform());
+  std::vector<Candidate> out;
+  for (Time step = 1; out.size() < count; ++step) {
+    for (const util::ProcessId p : ctx.tt_processes()) {
+      if (out.size() == count) break;
+      Candidate c = base;
+      EXPECT_TRUE(ctx.apply(ShiftProcessMove{p, 16 * step}, c));
+      out.push_back(std::move(c));
+    }
+    for (const util::MessageId m : ctx.tt_messages()) {
+      if (out.size() == count) break;
+      Candidate c = base;
+      EXPECT_TRUE(ctx.apply(ShiftMessageMove{m, 16 * step}, c));
+      out.push_back(std::move(c));
+    }
+  }
+  return out;
+}
+
+// More distinct evaluations than the default capacity cycle every slot
+// through copy-assignment; the most recent 32 must then all hit, and each
+// hit must equal a recomputation, so no slot keeps data of the entry it
+// replaced.
+TEST(EvaluationCache, OverwrittenSlotsReturnTheirNewEntry) {
+  const auto sys = gen::generate(small_system(5));
+  const MoveContext ctx(sys.app, sys.platform, McsOptions{});
+  const std::size_t capacity = ctx.evaluation_cache().capacity();
+  ASSERT_EQ(capacity, 32u);
+  const auto family = distinct_candidates(ctx, 3 * capacity + 5);
+  for (const Candidate& cand : family) (void)ctx.evaluate(cand);
+  EXPECT_EQ(ctx.evaluation_cache().misses(), family.size());
+  EXPECT_EQ(ctx.evaluation_cache().size(), capacity);
+
+  for (std::size_t i = family.size() - capacity; i < family.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Evaluation cached = ctx.evaluate(family[i]);
+    expect_same_evaluation(cached, ctx.evaluate_uncached(family[i]));
+  }
+  EXPECT_EQ(ctx.evaluation_cache().hits(), capacity);
+  EXPECT_EQ(ctx.evaluation_cache().misses(), family.size());
+}
+
+// Once every slot is filled, a miss overwrites a slot in place: the
+// cache's heap footprint stops growing however many misses follow.
+TEST(EvaluationCache, SteadyStateMissesKeepTheFootprint) {
+  const auto sys = gen::generate(small_system(5));
+  const MoveContext ctx(sys.app, sys.platform, McsOptions{});
+  const std::size_t capacity = ctx.evaluation_cache().capacity();
+  const auto family = distinct_candidates(ctx, 4 * capacity);
+  for (std::size_t i = 0; i < capacity; ++i) (void)ctx.evaluate(family[i]);
+  const std::size_t warm = ctx.evaluation_cache().footprint_bytes();
+  EXPECT_GT(warm, 0u);
+  for (std::size_t i = capacity; i < family.size(); ++i) {
+    (void)ctx.evaluate(family[i]);
+    ASSERT_EQ(ctx.evaluation_cache().footprint_bytes(), warm) << "miss " << i;
+  }
+  EXPECT_EQ(ctx.evaluation_cache().misses(), family.size());
+}
+
+// The evicted slot itself takes the new entry, and copy-assignment keeps
+// its buffers: the analysis vectors of the new entry live where the old
+// entry's did, so the overwrite allocated none of them.
+TEST(EvaluationCache, EvictedSlotReusesItsBuffers) {
+  const auto sys = gen::generate(small_system(5));
+  const MoveContext ctx(sys.app, sys.platform, McsOptions{});
+  const auto family = candidate_family(ctx);  // [2] swaps two slots
+  ASSERT_GE(family.size(), 3u);
+  std::vector<Evaluation> evals;
+  std::vector<std::vector<std::int64_t>> keys;
+  for (std::size_t i = 0; i < 3; ++i) {
+    evals.push_back(ctx.evaluate_uncached(family[i]));
+    keys.push_back({static_cast<std::int64_t>(i)});
+  }
+  ASSERT_NE(evals[0].mcs.schedule.process_start, evals[2].mcs.schedule.process_start);
+  EvaluationCache cache(2);
+  cache.insert(util::fnv1a(keys[0]), keys[0], evals[0]);
+  cache.insert(util::fnv1a(keys[1]), keys[1], evals[1]);
+  const Evaluation* slot = cache.find(util::fnv1a(keys[0]), keys[0]);
+  ASSERT_NE(slot, nullptr);
+  const Time* offsets = slot->mcs.analysis.process_offsets.data();
+  const Time* starts = slot->mcs.schedule.process_start.data();
+  ASSERT_NE(cache.find(util::fnv1a(keys[1]), keys[1]), nullptr);  // keys[0] is LRU
+  const std::size_t warm = cache.footprint_bytes();
+
+  cache.insert(util::fnv1a(keys[2]), keys[2], evals[2]);
+  EXPECT_EQ(cache.find(util::fnv1a(keys[0]), keys[0]), nullptr);
+  EXPECT_EQ(cache.find(util::fnv1a(keys[2]), keys[2]), slot);
+  EXPECT_EQ(slot->mcs.analysis.process_offsets.data(), offsets);
+  EXPECT_EQ(slot->mcs.schedule.process_start.data(), starts);
+  expect_same_evaluation(*slot, evals[2]);
+  EXPECT_EQ(cache.footprint_bytes(), warm);
+}
+
 TEST(EvaluationCache, LruEvictionStaysBounded) {
   EvaluationCache cache(2);
   const std::vector<std::int64_t> k1{1}, k2{2}, k3{3};

@@ -153,6 +153,26 @@ TEST(ExperimentSpec, ResilienceKeysAreBoundedLikeTheirFlags) {
   EXPECT_EQ(kMaxQueueLimit, 1'000'000'000u);
 }
 
+// seeds_per_dim is bounded in both formats: the suite generators push
+// that many points per dimension before any job runs, so a huge value
+// would allocate until it ran out of memory.  Only the parsers run here;
+// no suite is generated from a bounded-out value.
+TEST(ExperimentSpec, SeedsPerDimIsBounded) {
+  const std::string max = std::to_string(kMaxSeedsPerDim);
+  EXPECT_EQ(as_campaign("seeds_per_dim = " + max + "\n").seeds_per_dim, kMaxSeedsPerDim);
+  EXPECT_EQ(as_validation("seeds_per_dim = " + max + "\n").seeds_per_dim,
+            kMaxSeedsPerDim);
+  for (const std::string& value :
+       {std::to_string(kMaxSeedsPerDim + 1), std::string("18446744073709551615")}) {
+    SCOPED_TRACE(value);
+    const std::string text = "name = x\nseeds_per_dim = " + value + "\n";
+    const std::string expected =
+        " line 2: seeds_per_dim expects a count in 0.." + max + ", got '" + value + "'";
+    EXPECT_EQ(campaign_error(text), "campaign spec" + expected);
+    EXPECT_EQ(validation_error(text), "validation spec" + expected);
+  }
+}
+
 TEST(ExperimentSpec, FormatsKeepTheirOwnDefaultsAndKeys) {
   const CampaignSpec c;
   EXPECT_EQ(c.name, "campaign");

@@ -211,6 +211,30 @@ TEST(ValidationSpecParser, RejectsMalformedInputWithLineNumbers) {
             std::string::npos);
 }
 
+// max_sim_events lands in a signed event counter: a value past
+// kMaxSimEvents (notably 2^63, which used to wrap negative and stop every
+// simulation at once) fails at parse time with the line number.
+TEST(ValidationSpecParser, MaxSimEventsIsBounded) {
+  const std::string max = std::to_string(kMaxSimEvents);
+  std::istringstream ok("max_sim_events = " + max + "\n");
+  EXPECT_EQ(parse_validation_spec(ok).max_sim_events,
+            static_cast<std::int64_t>(kMaxSimEvents));
+  for (const std::string& value : {std::to_string(kMaxSimEvents + 1),
+                                  std::string("9223372036854775808"),
+                                  std::string("18446744073709551615")}) {
+    SCOPED_TRACE(value);
+    std::istringstream in("name = x\n\nmax_sim_events = " + value + "\n");
+    try {
+      static_cast<void>(parse_validation_spec(in));
+      ADD_FAILURE() << "accepted max_sim_events = " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "validation spec line 3: max_sim_events expects a count in 0.." + max +
+                    ", got '" + value + "'");
+    }
+  }
+}
+
 TEST(ValidationReports, JsonAndCsvCoverEveryJobAndScenario) {
   const ValidationResult result = run_validation(small_spec(2));
   std::ostringstream json;

@@ -496,11 +496,14 @@ void print_stats(const core::MoveContext& ctx,
               pct(d.cand_cache_hits, d.cand_cache_hits + d.cand_cache_rebuilds));
   std::printf("  fixed-point skips      %llu members\n",
               static_cast<unsigned long long>(d.intra_skips));
-  const std::uint64_t hits = ctx.evaluation_cache().hits();
-  const std::uint64_t lookups = hits + ctx.evaluation_cache().misses();
-  std::printf("  evaluation cache       %llu/%llu hits (%.1f%% hit rate)\n",
+  const core::EvaluationCache& cache = ctx.evaluation_cache();
+  const std::uint64_t hits = cache.hits();
+  const std::uint64_t lookups = hits + cache.misses();
+  std::printf("  evaluation cache       %llu/%llu hits (%.1f%% hit rate), "
+              "%zu/%zu slots, %zu bytes\n",
               static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(lookups), pct(hits, lookups));
+              static_cast<unsigned long long>(lookups), pct(hits, lookups),
+              cache.size(), cache.capacity(), cache.footprint_bytes());
   std::printf("  scratch footprint      %zu bytes (stable per workspace)\n",
               ws.scratch_footprint_bytes());
 }
